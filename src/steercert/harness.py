@@ -490,7 +490,11 @@ def load_assemblage(path: str) -> Assemblage:
         per_setting = [
             [_operator_from_json(op) for op in row] for row in data["assemblage"]
         ]
+        if not per_setting:
+            raise ValueError("assemblage needs at least one setting")
         n_outcomes = len(per_setting[0])
+        if any(len(row) != n_outcomes for row in per_setting):
+            raise ValueError("every setting needs the same number of outcomes")
         entries = [
             [per_setting[x][a] for x in range(len(per_setting))]
             for a in range(n_outcomes)

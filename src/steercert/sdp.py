@@ -15,11 +15,21 @@ front by a pivoted QR factorization of the constraint matrix.
 Hermitian matrices are vectorized isometrically into R^{d^2} ("hvec"):
 diagonal entries, then sqrt(2) * real and sqrt(2) * imag of the upper
 triangle. All per-iteration work is batched over blocks of equal dimension.
+
+Everything that depends only on a dimension is built once, on first use, and
+cached read-only: the gather/scatter offsets and scale vectors behind hvec and
+unhvec, and the Hermitian basis. The cached plan is bit-exact: hvec gives the
+same bits as fancy indexing over np.triu_indices, and unhvec the same as that
+indexing with a complex division by sqrt(2), except for the sign of an exact
+zero and for entries that are not finite. Each block group of a PreparedSdp
+also fixes the contraction path of its Schur kernel once.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -37,12 +47,49 @@ RANK_TOL = 1e-10
 _STEP_FRACTION = 0.98
 
 
+class _VecPlan(NamedTuple):
+    """Index arrays for one matrix dimension d. Offsets address a (d, d)
+    complex128 matrix viewed as 2 d^2 float64s: entry (i, j) has its real
+    part at 2 (i d + j) and its imaginary part one further."""
+
+    gather: np.ndarray  # hvec coordinate k reads float offset gather[k]
+    scale: np.ndarray  # 1 on the diagonal coordinates, sqrt(2) off them
+    unscale: np.ndarray  # 1 on the diagonal coordinates, 1/sqrt(2) off them
+    lower_re: np.ndarray  # real parts of the lower triangle, pair order
+    lower_im: np.ndarray  # imaginary parts of the lower triangle, pair order
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+@functools.lru_cache(maxsize=None)
+def _vec_plan(dim: int) -> _VecPlan:
+    iu, ju = np.triu_indices(dim, k=1)
+    npairs = iu.size
+    diag = np.arange(dim) * (dim + 1)
+    upper = iu * dim + ju
+    lower = ju * dim + iu
+    ones = np.ones(dim)
+    return _VecPlan(
+        gather=_read_only(np.concatenate([2 * diag, 2 * upper, 2 * upper + 1])),
+        scale=_read_only(np.concatenate([ones, np.full(2 * npairs, np.sqrt(2.0))])),
+        unscale=_read_only(
+            np.concatenate([ones, np.full(2 * npairs, 1.0 / np.sqrt(2.0))])
+        ),
+        lower_re=_read_only(2 * lower),
+        lower_im=_read_only(2 * lower + 1),
+    )
+
+
+@functools.lru_cache(maxsize=None)
 def hermitian_basis(dim: int) -> np.ndarray:
     """Orthonormal basis of Hermitian dim x dim matrices, shape (dim^2, dim, dim).
 
     Ordering matches hvec: unit diagonal matrices first, then
     (E_ij + E_ji)/sqrt(2) and (i E_ij - i E_ji)/sqrt(2) over the upper
-    triangle in row-major order.
+    triangle in row-major order. The array is cached and read-only.
     """
     basis = np.zeros((dim * dim, dim, dim), dtype=np.complex128)
     for i in range(dim):
@@ -56,40 +103,32 @@ def hermitian_basis(dim: int) -> np.ndarray:
         basis[dim + k, j, i] = inv_sqrt2
         basis[dim + npairs + k, i, j] = 1j * inv_sqrt2
         basis[dim + npairs + k, j, i] = -1j * inv_sqrt2
-    return basis
+    return _read_only(basis)
 
 
 def hvec(mats: np.ndarray) -> np.ndarray:
     """Isometric real vectorization of Hermitian matrices, batched over leading axes."""
-    mats = np.asarray(mats)
+    mats = np.ascontiguousarray(mats, dtype=np.complex128)
     dim = mats.shape[-1]
-    iu, ju = np.triu_indices(dim, k=1)
-    lead = mats.shape[:-2]
-    out = np.empty(lead + (dim * dim,), dtype=np.float64)
-    rng = np.arange(dim)
-    out[..., :dim] = mats[..., rng, rng].real
-    sqrt2 = np.sqrt(2.0)
-    npairs = iu.size
-    out[..., dim : dim + npairs] = sqrt2 * mats[..., iu, ju].real
-    out[..., dim + npairs :] = sqrt2 * mats[..., iu, ju].imag
+    plan = _vec_plan(dim)
+    flat = mats.view(np.float64).reshape(mats.shape[:-2] + (2 * dim * dim,))
+    out = flat[..., plan.gather]
+    out *= plan.scale
     return out
 
 
 def unhvec(vecs: np.ndarray, dim: int) -> np.ndarray:
     """Inverse of hvec, batched over leading axes."""
     vecs = np.asarray(vecs, dtype=np.float64)
-    iu, ju = np.triu_indices(dim, k=1)
-    npairs = iu.size
+    plan = _vec_plan(dim)
     lead = vecs.shape[:-1]
-    out = np.zeros(lead + (dim, dim), dtype=np.complex128)
-    rng = np.arange(dim)
-    out[..., rng, rng] = vecs[..., :dim]
-    upper = (
-        vecs[..., dim : dim + npairs] + 1j * vecs[..., dim + npairs :]
-    ) / np.sqrt(2.0)
-    out[..., iu, ju] = upper
-    out[..., ju, iu] = upper.conj()
-    return out
+    coords = vecs * plan.unscale
+    flat = np.zeros(lead + (2 * dim * dim,), dtype=np.float64)
+    flat[..., plan.gather] = coords
+    npairs = plan.lower_re.size
+    flat[..., plan.lower_re] = coords[..., dim : dim + npairs]
+    flat[..., plan.lower_im] = -coords[..., dim + npairs :]
+    return flat.view(np.complex128).reshape(lead + (dim, dim))
 
 
 @dataclass
@@ -138,16 +177,25 @@ class SdpSolution:
     message: str = ""
 
 
-class _Group:
-    """Blocks of one common dimension, batched."""
+# Schur kernel contraction: block i of W times basis matrix k times block i of W.
+_WBW = "ipq,kqr,irs->ikps"
 
-    __slots__ = ("dim", "blocks", "col_start", "col_stop")
+
+class _Group:
+    """Blocks of one common dimension, batched. The Hermitian basis and the
+    contraction path of the Schur kernel depend only on the group's shape,
+    so they are fixed here once rather than on every IPM iteration."""
+
+    __slots__ = ("dim", "blocks", "col_start", "col_stop", "basis", "wbw_path")
 
     def __init__(self, dim: int, blocks: list[int], col_start: int) -> None:
         self.dim = dim
         self.blocks = blocks
         self.col_start = col_start
         self.col_stop = col_start + len(blocks) * dim * dim
+        self.basis = hermitian_basis(dim)
+        w_like = np.empty((len(blocks), dim, dim), dtype=np.complex128)
+        self.wbw_path = np.einsum_path(_WBW, w_like, self.basis, w_like, optimize=True)[0]
 
 
 class PreparedSdp:
@@ -289,7 +337,6 @@ class PreparedSdp:
         z = self._identity_state()
         y = np.zeros(m)
 
-        basis_by_group = [hermitian_basis(g.dim) for g in self.groups]
         status = STATUS_MAX_ITERATIONS
         message = ""
         stall = 0
@@ -366,9 +413,7 @@ class PreparedSdp:
                 n_g = len(g.blocks)
                 w = w_mats[gi]
                 # Map U -> W U W in the hvec basis, one (d^2, d^2) kernel per block.
-                wbw = np.einsum(
-                    "ipq,kqr,irs->ikps", w, basis_by_group[gi], w, optimize=True
-                )
+                wbw = np.einsum(_WBW, w, g.basis, w, optimize=g.wbw_path)
                 kern = hvec(wbw)
                 a3 = a[:, g.col_start : g.col_stop].reshape(m, n_g, d * d)
                 tmp = np.matmul(a3.transpose(1, 0, 2), kern)

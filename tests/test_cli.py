@@ -98,3 +98,26 @@ def test_steer_check_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "Unsteerable" in out
+
+
+_HALF_IDENTITY = {"dim": 2, "entries": [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]}
+
+
+@pytest.mark.parametrize(
+    "command, data",
+    [
+        ("steer-check", {"assemblage": []}),
+        ("steer-check", {"assemblage": [[]]}),
+        ("steer-check", {"assemblage": [[_HALF_IDENTITY], [_HALF_IDENTITY] * 2]}),
+        ("jm-check", {"effects": []}),
+        ("witness-opt", {"effects": []}),
+    ],
+    ids=["no-settings", "no-outcomes", "ragged", "jm-no-effects", "witness-no-effects"],
+)
+def test_malformed_input_exits_2(tmp_path, capsys, command, data):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code = main([command, str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from steercert import sdp
 from steercert.linalg import HermitianOperator, min_eigenvalue
 from steercert.sdp import (
     STATUS_MAX_ITERATIONS,
@@ -37,6 +38,108 @@ def test_hermitian_basis_orthonormal():
         assert np.max(np.abs(gram - np.eye(dim * dim))) < 1e-14
         flat = hvec(basis)
         assert np.max(np.abs(flat - np.eye(dim * dim))) < 1e-14
+
+
+def _hvec_reference(mats):
+    """hvec as fancy indexing over np.triu_indices: the oracle for the
+    cached gather plan."""
+    mats = np.asarray(mats)
+    dim = mats.shape[-1]
+    iu, ju = np.triu_indices(dim, k=1)
+    out = np.empty(mats.shape[:-2] + (dim * dim,), dtype=np.float64)
+    rng = np.arange(dim)
+    out[..., :dim] = mats[..., rng, rng].real
+    npairs = iu.size
+    out[..., dim : dim + npairs] = np.sqrt(2.0) * mats[..., iu, ju].real
+    out[..., dim + npairs :] = np.sqrt(2.0) * mats[..., iu, ju].imag
+    return out
+
+
+def _unhvec_reference(vecs, dim):
+    """unhvec as fancy indexing over np.triu_indices with a complex division
+    by sqrt(2): the oracle for the cached scatter plan."""
+    vecs = np.asarray(vecs, dtype=np.float64)
+    iu, ju = np.triu_indices(dim, k=1)
+    npairs = iu.size
+    out = np.zeros(vecs.shape[:-1] + (dim, dim), dtype=np.complex128)
+    rng = np.arange(dim)
+    out[..., rng, rng] = vecs[..., :dim]
+    upper = (
+        vecs[..., dim : dim + npairs] + 1j * vecs[..., dim + npairs :]
+    ) / np.sqrt(2.0)
+    out[..., iu, ju] = upper
+    out[..., ju, iu] = upper.conj()
+    return out
+
+
+LEADING_SHAPES = [(), (5,), (3, 4), (0,)]
+
+
+@pytest.mark.parametrize("lead", LEADING_SHAPES, ids=str)
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_hvec_matches_reference_bit_for_bit(dim, lead):
+    rng = np.random.default_rng(dim)
+    shape = lead + (dim, dim)
+    mats = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    real = rng.normal(size=shape)
+    # Non-contiguous inputs: a transposed view and a strided view.
+    transposed = np.swapaxes(mats, -1, -2)
+    big = rng.normal(size=lead + (2 * dim, 2 * dim)) + 1j * rng.normal(
+        size=lead + (2 * dim, 2 * dim)
+    )
+    strided = big[..., ::2, 1::2]
+    if mats.size and dim > 1:
+        assert not strided.flags.c_contiguous
+        assert not transposed.flags.c_contiguous
+    for inp in (mats, real, transposed, strided):
+        got = hvec(inp)
+        want = _hvec_reference(inp)
+        assert got.shape == want.shape == lead + (dim * dim,)
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("lead", LEADING_SHAPES, ids=str)
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_unhvec_matches_reference_bit_for_bit(dim, lead):
+    rng = np.random.default_rng(10 + dim)
+    vecs = rng.normal(size=lead + (dim * dim,))
+    strided = rng.normal(size=lead + (2 * dim * dim,))[..., ::2]
+    for inp in (vecs, strided):
+        got = unhvec(inp, dim)
+        want = _unhvec_reference(inp, dim)
+        assert got.shape == want.shape == lead + (dim, dim)
+        assert got.dtype == np.complex128
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_unhvec_inverts_hvec(dim):
+    rng = np.random.default_rng(20 + dim)
+    mats = np.stack([random_hermitian(rng, dim) for _ in range(6)]).reshape(
+        2, 3, dim, dim
+    )
+    back = unhvec(hvec(mats), dim)
+    assert np.max(np.abs(back - mats)) < 1e-15
+    # The image is Hermitian exactly, not only to rounding.
+    assert np.array_equal(back, np.swapaxes(back, -1, -2).conj())
+    vecs = rng.normal(size=(4, dim * dim))
+    assert np.max(np.abs(hvec(unhvec(vecs, dim)) - vecs)) < 1e-15
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_cached_plan_and_basis_are_read_only(dim):
+    plan = sdp._vec_plan(dim)
+    assert plan is sdp._vec_plan(dim)
+    for arr in plan:
+        if arr.size == 0:
+            continue
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
+    basis = hermitian_basis(dim)
+    assert basis is hermitian_basis(dim)
+    with pytest.raises(ValueError):
+        basis[0, 0, 0] = 2.0
 
 
 def test_fully_constrained_scalar():
@@ -203,6 +306,54 @@ def test_prepared_reuse_matches_fresh_solve():
         reused = prep.solve_with([c])
         assert reused.primal_value == fresh.primal_value
         assert reused.iterations == fresh.iterations
+
+
+def _povm_program(n_blocks):
+    """Blocks X_j >= 0 (2x2) summing to the identity; a fresh seeded objective."""
+    builder = ProgramBuilder([2] * n_blocks)
+    builder.add_operator_equation(
+        {j: 1.0 for j in range(n_blocks)}, HermitianOperator.identity(2)
+    )
+    rng = np.random.default_rng(n_blocks)
+    objective = [
+        HermitianOperator(random_hermitian(rng, 2)) for _ in range(n_blocks)
+    ]
+    return builder.prepared(), objective
+
+
+def _solution_bytes(sol):
+    return (
+        sol.iterations,
+        sol.primal_value,
+        sol.dual_value,
+        [op.entries.tobytes() for op in sol.block_values],
+    )
+
+
+def test_stored_schur_path_is_per_program():
+    prep, objective = _povm_program(3)
+    first = _solution_bytes(prep.solve_with(objective))
+    assert first[0] > 1
+    assert _solution_bytes(prep.solve_with(objective)) == first
+    # A program of another block count in between must not disturb the
+    # path stored for the first one; 3 and 9 blocks contract in different
+    # orders.
+    other, other_objective = _povm_program(9)
+    assert other.groups[0].wbw_path != prep.groups[0].wbw_path
+    other_first = _solution_bytes(other.solve_with(other_objective))
+    assert _solution_bytes(prep.solve_with(objective)) == first
+    assert _solution_bytes(other.solve_with(other_objective)) == other_first
+
+
+@pytest.mark.parametrize("dims", [(2,), (2, 2, 2), (1, 1, 3, 3), (2,) * 9])
+def test_stored_schur_path_matches_fresh_planning(dims):
+    prep = PreparedSdp(dims, [])
+    rng = np.random.default_rng(len(dims))
+    for g in prep.groups:
+        w = np.stack([random_hermitian(rng, g.dim) for _ in g.blocks])
+        stored = np.einsum(sdp._WBW, w, g.basis, w, optimize=g.wbw_path)
+        planned = np.einsum(sdp._WBW, w, g.basis, w, optimize=True)
+        assert stored.tobytes() == planned.tobytes()
 
 
 def test_builder_operator_equation():
