@@ -60,6 +60,24 @@ def _verdict(status: str, crit: float, gap_tol: float, yes: str, no: str) -> str
     return no
 
 
+def check_jm_input(mset: MeasurementSet) -> None:
+    """Raise ValueError unless jm_critical_visibility accepts the set:
+    two-outcome qubit measurements, at most MAX_SETTINGS of them."""
+    if mset.dim != 2 or any(len(p) != 2 for p in mset.settings):
+        raise ValueError("expected two-outcome qubit measurements")
+    if mset.n > MAX_SETTINGS:
+        raise ValueError(f"parent search is exponential in n; refusing n > {MAX_SETTINGS}")
+
+
+def check_lhs_input(assemblage: Assemblage) -> None:
+    """Raise ValueError unless lhs_critical_visibility accepts the
+    assemblage: two outcomes on a qubit, at most MAX_SETTINGS settings."""
+    if assemblage.dim != 2 or assemblage.n_outcomes != 2:
+        raise ValueError("expected a two-outcome qubit assemblage")
+    if assemblage.n_settings > MAX_SETTINGS:
+        raise ValueError(f"model search is exponential in n; refusing n > {MAX_SETTINGS}")
+
+
 def jm_critical_visibility(
     mset: MeasurementSet,
     gap_tol: float = DEFAULT_GAP_TOL,
@@ -73,11 +91,8 @@ def jm_critical_visibility(
     completeness of the parent. Verdict Compatible means the set itself
     (v = 1) is jointly measurable within the verdict margin.
     """
-    if mset.dim != 2 or any(len(p) != 2 for p in mset.settings):
-        raise ValueError("expected two-outcome qubit measurements")
+    check_jm_input(mset)
     n = mset.n
-    if n > MAX_SETTINGS:
-        raise ValueError(f"parent search is exponential in n; refusing n > {MAX_SETTINGS}")
     lams = list(itertools.product((0, 1), repeat=n))
     n_l = len(lams)
     v_ix, s_ix = n_l, n_l + 1
@@ -120,11 +135,8 @@ def lhs_critical_visibility(
     Hidden states are indexed by one response bit per setting; the
     outcome-0 rows plus the global sum pin the decomposition.
     """
-    if assemblage.dim != 2 or assemblage.n_outcomes != 2:
-        raise ValueError("expected a two-outcome qubit assemblage")
+    check_lhs_input(assemblage)
     n = assemblage.n_settings
-    if n > MAX_SETTINGS:
-        raise ValueError(f"model search is exponential in n; refusing n > {MAX_SETTINGS}")
     lams = list(itertools.product((0, 1), repeat=n))
     n_l = len(lams)
     v_ix, s_ix = n_l, n_l + 1

@@ -19,7 +19,12 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .certify import jm_critical_visibility, lhs_critical_visibility
+from .certify import (
+    check_jm_input,
+    check_lhs_input,
+    jm_critical_visibility,
+    lhs_critical_visibility,
+)
 from .linalg import HermitianOperator
 from .quantum import (
     Assemblage,
@@ -528,6 +533,7 @@ def run_jm_check(config: ExperimentConfig):
     start = time.perf_counter()
     try:
         mset = load_measurement_set(config.input_path)
+        check_jm_input(mset)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"cannot load measurement set: {exc}") from exc
     report = jm_critical_visibility(mset, config.gap_tol, config.feas_tol)
@@ -562,6 +568,7 @@ def run_steer_check(config: ExperimentConfig):
     start = time.perf_counter()
     try:
         assemblage = load_assemblage(config.input_path)
+        check_lhs_input(assemblage)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"cannot load assemblage: {exc}") from exc
     report = lhs_critical_visibility(assemblage, config.gap_tol, config.feas_tol)

@@ -7,22 +7,48 @@ Solves
 
 where each X_j is a Hermitian d_j x d_j matrix and <.,.> is the
 Hilbert-Schmidt inner product. The solver is an infeasible-start primal-dual
-path-following method with Nesterov-Todd scaling and a Mehrotra second-order
-corrector, written directly on numpy so that runs are deterministic
-bit-for-bit for identical inputs. Redundant equality rows are removed up
-front by a pivoted QR factorization of the constraint matrix.
+path-following method with Nesterov-Todd (NT) scaling and a Mehrotra
+second-order corrector, written directly on numpy so that runs are
+deterministic bit-for-bit for identical inputs. Redundant equality rows are
+removed up front by a pivoted QR factorization of the constraint matrix.
 
 Hermitian matrices are vectorized isometrically into R^{d^2} ("hvec"):
 diagonal entries, then sqrt(2) * real and sqrt(2) * imag of the upper
-triangle. All per-iteration work is batched over blocks of equal dimension.
+triangle. Blocks of equal dimension form a group, and all per-iteration work
+is batched over a group. The block dimension picks the group's cone:
+
+- d = 1: the nonnegative orthant, with entrywise scaling and step length.
+- d = 2: the 4-dimensional Lorentz cone. X = (t I + r.sigma) / 2 is positive
+  semidefinite exactly when t >= |r|. A primal block has cone coordinates
+  x = Q hvec(X) / sqrt(2) and a dual block z = sqrt(2) Q hvec(Z), where Q
+  maps (h0, h1) to ((h0 + h1), (h0 - h1)) / sqrt(2). Then x.z = tr(XZ),
+  X's eigenvalues are x_0 +- |x_1|, and the cone's Jordan product
+  x o z = (x.z, x_0 z_1 + z_0 x_1) holds the Pauli coordinates of
+  (XZ + ZX) / 2. The NT scaling, the solve of lam o g = r and the step
+  length are closed-form (Vandenberghe, The CVXOPT linear and quadratic
+  cone program solvers, 2010; Alizadeh & Goldfarb, Math. Program. 95, 2003).
+- d >= 3: Hermitian matrices, scaled through Cholesky factors and an SVD,
+  with eigvalsh step lengths. This path serves the random test programs.
+
+The change to cone coordinates is linear and keeps the pairing <X, Z>, so
+the central path X o Z = tau I becomes x o z = 2 tau e on a Lorentz block
+and mu = <X, Z> / sum_j d_j is unchanged. The NT scaling point is unique,
+and the Newton directions, step lengths and stopping quantities are the same
+linear-algebra objects written in other coordinates (the dual residual
+weighs Lorentz coordinates by 1/2 to give the Frobenius norm). In exact
+arithmetic the iterates are therefore those of the all-Hermitian method.
+Numerically the Schur complement A H A^T is factored as R^T R through a QR
+factorization of the scaled rows A W^T instead of a Cholesky factorization
+of the assembled product, so its conditioning is not squared near a
+degenerate optimum.
 
 Everything that depends only on a dimension is built once, on first use, and
 cached read-only: the gather/scatter offsets and scale vectors behind hvec and
 unhvec, and the Hermitian basis. The cached plan is bit-exact: hvec gives the
 same bits as fancy indexing over np.triu_indices, and unhvec the same as that
 indexing with a complex division by sqrt(2), except for the sign of an exact
-zero and for entries that are not finite. Each block group of a PreparedSdp
-also fixes the contraction path of its Schur kernel once.
+zero and for entries that are not finite. Each Hermitian group of a
+PreparedSdp also fixes the contraction path of its scaling once.
 """
 
 from __future__ import annotations
@@ -33,6 +59,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 
 from .linalg import HermitianOperator
 from .tolerances import DEFAULT_FEAS_TOL, DEFAULT_GAP_TOL, DEFAULT_MAX_ITER
@@ -177,25 +204,363 @@ class SdpSolution:
     message: str = ""
 
 
-# Schur kernel contraction: block i of W times basis matrix k times block i of W.
+# Congruence of the Hermitian basis: block i of L times basis matrix k times
+# block i of R.
 _WBW = "ipq,kqr,irs->ikps"
+
+# Lorentz-cone constants: the signature J = diag(1, -1, -1, -1), and
+# M = sqrt(2) Q, which takes the hvec coordinates of a 2x2 block to the cone
+# coordinates of a dual vector and the cone coordinates of a primal vector
+# back to hvec. M is symmetric and M M = 2 I.
+_SOC_SIGN = np.array([1.0, -1.0, -1.0, -1.0])
+_SOC_J = np.diag(_SOC_SIGN)
+_SOC_M = np.array(
+    [
+        [1.0, 1.0, 0.0, 0.0],
+        [1.0, -1.0, 0.0, 0.0],
+        [0.0, 0.0, np.sqrt(2.0), 0.0],
+        [0.0, 0.0, 0.0, np.sqrt(2.0)],
+    ]
+)
+for _arr in (_SOC_SIGN, _SOC_J, _SOC_M):
+    _read_only(_arr)
+del _arr
+
+
+def _bmv(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Batched matrix-vector product, (n, k, k) times (n, k)."""
+    return np.matmul(mats, vecs[..., None])[..., 0]
+
+
+def _rowdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (n, k) arrays."""
+    return np.einsum("ij,ij->i", u, v)
+
+
+def _step_from_min_eig(lam_min: float) -> float:
+    """Largest alpha with e + alpha * t in the cone, given t's least eigenvalue."""
+    return -1.0 / lam_min if lam_min < -1e-16 else np.inf
+
+
+class _OrthantScaling:
+    """NT scaling of 1x1 blocks: W = sqrt(x / z) acting entrywise."""
+
+    __slots__ = ("wt", "lam", "_w")
+
+    def __init__(self, x: np.ndarray, z: np.ndarray) -> None:
+        if not ((x > 0).all() and (z > 0).all()):
+            raise np.linalg.LinAlgError("iterate left the orthant")
+        self._w = np.sqrt(x / z)
+        self.wt = self._w[:, :, None]
+        self.lam = np.sqrt(x * z)
+
+    def w(self, v: np.ndarray) -> np.ndarray:
+        return self._w * v
+
+    w_t = w
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        return r / self.lam
+
+    def max_step(self, delta: np.ndarray) -> float:
+        return _step_from_min_eig(float((delta / self.lam).min()))
+
+
+def _soc_bounds(v: np.ndarray):
+    """(v0 - |v1|, v0 + |v1|): the two eigenvalues of Lorentz vectors (n, 4)."""
+    nrm = np.sqrt(_rowdot(v[:, 1:], v[:, 1:]))
+    return v[:, 0] - nrm, v[:, 0] + nrm
+
+
+class _LorentzScaling:
+    """Closed-form NT scaling of 4-dimensional Lorentz cones.
+
+    With x_bar = x / sqrt(det x), z_bar = z / sqrt(det z),
+    gamma = sqrt((1 + x_bar.z_bar) / 2) and w_bar = (x_bar + J z_bar) / (2 gamma),
+    the symmetric W = eta (2 v v^T - J), with v = (w_bar + e) /
+    sqrt(2 (w_bar_0 + 1)) and eta = (det x / det z)^(1/4), satisfies
+    W z = W^-1 x = lam, and W W = sqrt(det x / det z) (2 w_bar w_bar^T - J)
+    is the Schur kernel H with H z = x (Vandenberghe, The CVXOPT linear and
+    quadratic cone program solvers, 2010).
+    """
+
+    __slots__ = ("wt", "lam", "_det_lam", "_u", "_inv_l1", "_inv_l2")
+
+    def __init__(self, x: np.ndarray, z: np.ndarray) -> None:
+        x_lo, x_hi = _soc_bounds(x)
+        z_lo, z_hi = _soc_bounds(z)
+        if not ((x_lo > 0).all() and (z_lo > 0).all()):
+            raise np.linalg.LinAlgError("iterate left the Lorentz cone")
+        det_x = x_lo * x_hi
+        det_z = z_lo * z_hi
+        x_bar = x / np.sqrt(det_x)[:, None]
+        z_bar = z / np.sqrt(det_z)[:, None]
+        gamma = np.sqrt(0.5 + 0.5 * _rowdot(x_bar, z_bar))[:, None]
+        v = (x_bar + _SOC_SIGN * z_bar) / (2.0 * gamma)
+        v[:, 0] += 1.0
+        v /= np.sqrt(2.0 * v[:, :1])
+        eta = np.sqrt(np.sqrt(det_x / det_z))
+        self.wt = eta[:, None, None] * (2.0 * v[:, :, None] * v[:, None, :] - _SOC_J)
+        # lam = W z in closed form, which keeps lam_0 free of cancellation
+        # on blocks at the edge of the cone; det lam = eta^2 det z exactly.
+        det_lam = np.sqrt(det_x * det_z)
+        x0 = x_bar[:, :1]
+        z0 = z_bar[:, :1]
+        lam = np.empty_like(x)
+        lam[:, :1] = gamma
+        lam[:, 1:] = ((gamma + z0) * x_bar[:, 1:] + (gamma + x0) * z_bar[:, 1:]) / (
+            x0 + z0 + 2.0 * gamma
+        )
+        lam *= np.sqrt(det_lam)[:, None]
+        self.lam = lam
+        self._det_lam = det_lam
+        # lam's Jordan frame c_1,2 = (1, +-u) / 2 with eigenvalues l1 >= l2,
+        # for the step length.
+        nrm = np.sqrt(_rowdot(lam[:, 1:], lam[:, 1:]))
+        flat = nrm == 0
+        u = lam[:, 1:] / np.where(flat, 1.0, nrm)[:, None]
+        if flat.any():
+            u[flat, 0] = 1.0
+        l1 = lam[:, 0] + nrm
+        self._u = u
+        self._inv_l1 = 1.0 / l1
+        self._inv_l2 = l1 / det_lam
+
+    def w(self, v: np.ndarray) -> np.ndarray:
+        return _bmv(self.wt, v)
+
+    w_t = w
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        """g with lam o g = r: the inverse of lam's arrow matrix."""
+        lam = self.lam
+        lam0 = lam[:, :1]
+        g0 = (lam0[:, 0] * r[:, 0] - _rowdot(lam[:, 1:], r[:, 1:])) / self._det_lam
+        out = np.empty_like(r)
+        out[:, 0] = g0
+        out[:, 1:] = (r[:, 1:] - g0[:, None] * lam[:, 1:]) / lam0
+        return out
+
+    def max_step(self, delta: np.ndarray) -> float:
+        """Largest alpha with lam + alpha delta in the cone: minus the inverse
+        of the least eigenvalue of P(lam^-1/2) delta, where P is the quadratic
+        representation. In lam's Jordan frame that matrix is
+        a c_1 + b c_2 + delta_perp / sqrt(l1 l2), with a and b the frame
+        coordinates of delta over l1 and l2."""
+        d0 = delta[:, 0]
+        d1 = delta[:, 1:]
+        along = _rowdot(self._u, d1)
+        perp2 = np.maximum(_rowdot(d1, d1) - along * along, 0.0)
+        a = (d0 + along) * self._inv_l1
+        b = (d0 - along) * self._inv_l2
+        eig_min = 0.5 * (a + b) - np.sqrt(
+            0.25 * (a - b) ** 2 + perp2 * (self._inv_l1 * self._inv_l2)
+        )
+        return _step_from_min_eig(float(eig_min.min()))
+
+
+class _HermitianScaling:
+    """NT scaling of d x d Hermitian blocks, d >= 3, in hvec coordinates:
+    R R^H Z R R^H = X with the common scaled spectrum sig of X and Z.
+    W maps U to R^H U R, W^T maps G back to R G R^H, and lam is diag(sig)."""
+
+    __slots__ = ("wt", "lam", "_dim", "_r", "_sig")
+
+    def __init__(self, group: "_HermitianGroup", x: np.ndarray, z: np.ndarray) -> None:
+        d = group.dim
+        lx = _chol_batch(unhvec(x, d))
+        lz = _chol_batch(unhvec(z, d))
+        prod = lz.conj().transpose(0, 2, 1) @ lx
+        _, s, vh = np.linalg.svd(prod)
+        if np.min(s) <= 0:
+            raise np.linalg.LinAlgError("singular NT scaling")
+        s_isqrt = 1.0 / np.sqrt(s)
+        r = (lx @ vh.conj().transpose(0, 2, 1)) * s_isqrt[:, None, :]
+        # W maps U to R^H U R; row k of wt is hvec(R^H B_k R) for basis
+        # matrix B_k, the transpose of W's matrix in the hvec basis.
+        r_h = r.conj().transpose(0, 2, 1)
+        self.wt = hvec(np.einsum(_WBW, r_h, group.basis, r, optimize=group.wbw_path))
+        self.lam = np.zeros_like(x)
+        self.lam[:, :d] = s
+        self._dim = d
+        self._r = r
+        self._sig = s
+
+    def _congruence(self, left: np.ndarray, v: np.ndarray) -> np.ndarray:
+        mats = unhvec(v, self._dim)
+        return hvec(left @ mats @ left.conj().transpose(0, 2, 1))
+
+    def w(self, v: np.ndarray) -> np.ndarray:
+        return self._congruence(self._r.conj().transpose(0, 2, 1), v)
+
+    def w_t(self, v: np.ndarray) -> np.ndarray:
+        return self._congruence(self._r, v)
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        s = self._sig
+        return hvec(2.0 * unhvec(r, self._dim) / (s[:, :, None] + s[:, None, :]))
+
+    def max_step(self, delta: np.ndarray) -> float:
+        s_isqrt = 1.0 / np.sqrt(self._sig)
+        t = unhvec(delta, self._dim) * s_isqrt[:, :, None] * s_isqrt[:, None, :]
+        t = 0.5 * (t + t.conj().transpose(0, 2, 1))
+        return _step_from_min_eig(float(np.min(np.linalg.eigvalsh(t)[..., 0])))
+
+
+def _chol_batch(mats: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.cholesky(mats)
+    except np.linalg.LinAlgError:
+        # Tiny symmetric jitter rescues roundoff-level indefiniteness.
+        d = mats.shape[-1]
+        scale = np.max(np.abs(mats), axis=(-2, -1), keepdims=True)
+        jitter = 1e-14 * np.maximum(scale, 1.0) * np.eye(d)
+        for boost in (1.0, 1e2, 1e4):
+            try:
+                return np.linalg.cholesky(mats + boost * jitter)
+            except np.linalg.LinAlgError:
+                continue
+        raise
 
 
 class _Group:
-    """Blocks of one common dimension, batched. The Hermitian basis and the
-    contraction path of the Schur kernel depend only on the group's shape,
-    so they are fixed here once rather than on every IPM iteration."""
+    """Blocks of one common dimension, batched, and their cone.
 
-    __slots__ = ("dim", "blocks", "col_start", "col_stop", "basis", "wbw_path")
+    A group owns the columns col_start:col_stop of the solver's flat
+    vectors, d^2 cone coordinates per block, and offers the same operations
+    whatever its cone: the coordinate maps, the NT scaling ``nt(x, z)``,
+    the Jordan product ``jordan(u, v)`` and the strict-interior test
+    ``interior(x)``. A scaling holds ``wt``, the (n, d^2, d^2) matrices of
+    W^T, whose product W^T W is the Schur kernel H with H z = x, and the
+    scaled point ``lam`` = W z = W^-T x. It applies W and W^T (``w``,
+    ``w_t``), solves lam o g = r (``solve``) and gives the largest step
+    along a scaled direction that stays in the cone (``max_step``).
+    ``a_blocks`` holds the group's columns of the reduced constraint
+    matrix, shape (n, m, d^2), once the program is built.
+    """
+
+    __slots__ = ("dim", "blocks", "col_start", "col_stop", "a_blocks")
 
     def __init__(self, dim: int, blocks: list[int], col_start: int) -> None:
         self.dim = dim
         self.blocks = blocks
         self.col_start = col_start
         self.col_stop = col_start + len(blocks) * dim * dim
+
+    def seg(self, vec: np.ndarray) -> np.ndarray:
+        return vec[self.col_start : self.col_stop].reshape(len(self.blocks), -1)
+
+    def dual_coords(self, h: np.ndarray) -> np.ndarray:
+        """Cone coordinates of dual-side vectors (objective, constraint
+        columns) given in hvec coordinates, batched over leading axes."""
+        return h
+
+    def matrices(self, x: np.ndarray) -> np.ndarray:
+        """The blocks of a primal vector in cone coordinates, shape (n, d, d)."""
+        return unhvec(x, self.dim)
+
+    # Subclasses set x0 and z0, the cone coordinates of the identity block
+    # on the primal and the dual side: the starting point. z0 is also the
+    # centering direction, since the scaled frame aims at
+    # lam o lam = sigma mu z0.
+
+    # Weight of each coordinate in the Frobenius norm of a dual-side vector.
+    dual_weight = 1.0
+
+
+class _OrthantGroup(_Group):
+    """1x1 blocks: the nonnegative orthant."""
+
+    __slots__ = ()
+
+    x0 = z0 = _read_only(np.ones(1))
+
+    def nt(self, x: np.ndarray, z: np.ndarray) -> _OrthantScaling:
+        return _OrthantScaling(x, z)
+
+    @staticmethod
+    def jordan(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return u * v
+
+    @staticmethod
+    def interior(x: np.ndarray) -> bool:
+        return bool((x > 0).all())
+
+
+class _LorentzGroup(_Group):
+    """2x2 blocks as Lorentz cones. A primal block X has cone coordinates
+    x = Q hvec(X) / sqrt(2) and a dual block Z has z = sqrt(2) Q hvec(Z),
+    where Q maps (h0, h1) to ((h0 + h1), (h0 - h1)) / sqrt(2). Then
+    x.z = tr(XZ), x_0 +- |x_1| are X's eigenvalues, and X o Z = (XZ + ZX)/2
+    has the Pauli coordinates of the cone's Jordan product x o z."""
+
+    __slots__ = ()
+
+    def dual_coords(self, h: np.ndarray) -> np.ndarray:
+        return h @ _SOC_M
+
+    def matrices(self, x: np.ndarray) -> np.ndarray:
+        return unhvec(x @ _SOC_M, 2)
+
+    x0 = _read_only(np.array([1.0, 0.0, 0.0, 0.0]))
+    z0 = _read_only(np.array([2.0, 0.0, 0.0, 0.0]))
+
+    # |Z|_F^2 = |z|^2 / 2 in dual cone coordinates.
+    dual_weight = 0.5
+
+    def nt(self, x: np.ndarray, z: np.ndarray) -> _LorentzScaling:
+        return _LorentzScaling(x, z)
+
+    @staticmethod
+    def jordan(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        out = np.empty_like(u)
+        out[:, 0] = _rowdot(u, v)
+        out[:, 1:] = u[:, :1] * v[:, 1:] + v[:, :1] * u[:, 1:]
+        return out
+
+    @staticmethod
+    def interior(x: np.ndarray) -> bool:
+        return bool((_soc_bounds(x)[0] > 0).all())
+
+
+class _HermitianGroup(_Group):
+    """d x d Hermitian blocks, d >= 3, in hvec coordinates. The Hermitian
+    basis and the contraction path of the scaling's congruence depend only
+    on the group's shape, so they are fixed here once rather than on every
+    IPM iteration."""
+
+    __slots__ = ("basis", "wbw_path", "x0", "z0")
+
+    def __init__(self, dim: int, blocks: list[int], col_start: int) -> None:
+        super().__init__(dim, blocks, col_start)
+        self.x0 = self.z0 = hvec(np.eye(dim))
         self.basis = hermitian_basis(dim)
         w_like = np.empty((len(blocks), dim, dim), dtype=np.complex128)
         self.wbw_path = np.einsum_path(_WBW, w_like, self.basis, w_like, optimize=True)[0]
+
+    def nt(self, x: np.ndarray, z: np.ndarray) -> _HermitianScaling:
+        return _HermitianScaling(self, x, z)
+
+    def jordan(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        um = unhvec(u, self.dim)
+        vm = unhvec(v, self.dim)
+        return hvec(0.5 * (um @ vm + vm @ um))
+
+    def interior(self, x: np.ndarray) -> bool:
+        try:
+            np.linalg.cholesky(unhvec(x, self.dim))
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+
+def _make_group(dim: int, blocks: list[int], col_start: int) -> _Group:
+    """The block dimension picks the cone."""
+    if dim == 1:
+        return _OrthantGroup(dim, blocks, col_start)
+    if dim == 2:
+        return _LorentzGroup(dim, blocks, col_start)
+    return _HermitianGroup(dim, blocks, col_start)
 
 
 class PreparedSdp:
@@ -214,7 +579,7 @@ class PreparedSdp:
         self.groups: list[_Group] = []
         col = 0
         for d in sorted(by_dim):
-            g = _Group(d, by_dim[d], col)
+            g = _make_group(d, by_dim[d], col)
             self.groups.append(g)
             col = g.col_stop
         self.n_cols = col
@@ -266,36 +631,45 @@ class PreparedSdp:
             self.b_red = np.zeros(0)
         self.m = self.a_red.shape[0]
 
+        # The IPM works in cone coordinates: a_red's columns of each group
+        # are the dual-side images of its hvec columns.
+        for g in self.groups:
+            cols = slice(g.col_start, g.col_stop)
+            shape = (self.m, len(g.blocks), g.dim * g.dim)
+            a3 = g.dual_coords(self.a_red[:, cols].reshape(shape))
+            self.a_red[:, cols] = a3.reshape(self.a_red[:, cols].shape)
+            g.a_blocks = np.ascontiguousarray(a3.transpose(1, 0, 2))
+        self._x_start = self._concat(lambda g: g.x0)
+        self._z_start = self._concat(lambda g: g.z0)
+        self._dual_weight = self._concat(lambda g: np.full(g.dim * g.dim, g.dual_weight))
+        self._degree = float(self._x_start @ self._z_start)
+
     # -- helpers ----------------------------------------------------------
 
-    def _split(self, vec: np.ndarray) -> list[np.ndarray]:
-        out = []
-        for g in self.groups:
-            seg = vec[g.col_start : g.col_stop]
-            out.append(unhvec(seg.reshape(len(g.blocks), g.dim * g.dim), g.dim))
-        return out
+    def _concat(self, per_block) -> np.ndarray:
+        """One flat vector holding per_block(g) for every block of every group."""
+        return np.concatenate(
+            [np.tile(per_block(g), len(g.blocks)) for g in self.groups]
+        )
 
-    def _flatten(self, mats: list[np.ndarray]) -> np.ndarray:
-        return np.concatenate([hvec(mg).reshape(-1) for mg in mats])
-
-    def _identity_state(self, scale: float = 1.0) -> list[np.ndarray]:
-        return [
-            np.broadcast_to(
-                scale * np.eye(g.dim, dtype=np.complex128), (len(g.blocks), g.dim, g.dim)
-            ).copy()
-            for g in self.groups
-        ]
-
-    def _objective_mats(self, objective, sign: float) -> list[np.ndarray]:
-        mats = []
+    def _objective_vec(self, objective, sign: float) -> np.ndarray:
+        parts = []
         for g in self.groups:
             cg = np.zeros((len(g.blocks), g.dim, g.dim), dtype=np.complex128)
             for pos, j in enumerate(g.blocks):
                 op = objective[j]
                 if op is not None:
                     cg[pos] = sign * op.entries
-            mats.append(cg)
-        return mats
+            parts.append(g.dual_coords(hvec(cg)).reshape(-1))
+        return np.concatenate(parts)
+
+    def _per_group(self, fn) -> np.ndarray:
+        """Flat vector assembled from fn(group_index, group), each returning
+        the group's (n, d^2) segment."""
+        out = np.empty(self.n_cols)
+        for gi, g in enumerate(self.groups):
+            out[g.col_start : g.col_stop] = fn(gi, g).reshape(-1)
+        return out
 
     # -- main solve -------------------------------------------------------
 
@@ -324,17 +698,18 @@ class PreparedSdp:
             )
 
         sign = -1.0 if maximize else 1.0
-        c_mats = self._objective_mats(objective, sign)
-        c_vec = self._flatten(c_mats)
+        groups = self.groups
+        c_vec = self._objective_vec(objective, sign)
         a = self.a_red
         b = self.b_red
         m = self.m
-        k_total = float(sum(g.dim * len(g.blocks) for g in self.groups))
+        weight = self._dual_weight
+        k_total = self._degree
         norm_b = np.linalg.norm(b)
-        norm_c = np.linalg.norm(c_vec)
+        norm_c = np.sqrt(float(c_vec @ (weight * c_vec)))
 
-        x = self._identity_state()
-        z = self._identity_state()
+        x = self._x_start.copy()
+        z = self._z_start.copy()
         y = np.zeros(m)
 
         status = STATUS_MAX_ITERATIONS
@@ -352,9 +727,10 @@ class PreparedSdp:
             else:
                 primal = int_p + objective_const
                 dual = int_d + objective_const
+            mats = [g.matrices(g.seg(xs)) for g in groups]
             block_values = [None] * len(self.dims)
             for j, (gi, pos) in self.block_slot.items():
-                block_values[j] = HermitianOperator(xs[gi][pos])
+                block_values[j] = HermitianOperator(mats[gi][pos])
             return SdpSolution(
                 status=status,
                 primal_value=float(primal),
@@ -368,112 +744,77 @@ class PreparedSdp:
             )
 
         for it in range(1, max_iter + 1):
-            x_vec = self._flatten(x)
-            rp = b - a @ x_vec
-            aty = self._split(a.T @ y)
-            rd = [c_mats[gi] - aty[gi] - z[gi] for gi in range(len(self.groups))]
-            int_p = float(c_vec @ x_vec)
+            rp = b - a @ x
+            rd = c_vec - a.T @ y - z
+            int_p = float(c_vec @ x)
             int_d = float(b @ y)
             pinf = np.linalg.norm(rp) / (1.0 + norm_b)
-            dinf = np.sqrt(
-                sum(float(np.sum(np.abs(rg) ** 2)) for rg in rd)
-            ) / (1.0 + norm_c)
+            dinf = np.sqrt(float(rd @ (weight * rd))) / (1.0 + norm_c)
             gap_int = abs(int_p - int_d)
             if not (np.isfinite(int_p) and np.isfinite(int_d) and np.isfinite(pinf)):
                 status = STATUS_NUMERICAL_FAILURE
                 message = "non-finite iterate"
                 if best is not None:
                     return finish(best)
-                return finish(([xg.copy() for xg in x], np.nan, np.nan, pinf, dinf))
+                return finish((x.copy(), np.nan, np.nan, pinf, dinf))
             score = max(pinf / feas_tol, dinf / feas_tol, gap_int / gap_tol)
             if score < best_score:
                 best_score = score
-                best = ([xg.copy() for xg in x], int_p, int_d, pinf, dinf)
+                best = (x.copy(), int_p, int_d, pinf, dinf)
             if pinf <= feas_tol and dinf <= feas_tol and gap_int <= gap_tol:
                 status = STATUS_OPTIMAL
                 return finish((x, int_p, int_d, pinf, dinf))
 
-            # Nesterov-Todd scaling per group: W Z W = X with W = R R^H and
-            # the common scaled spectrum sig of X and Z.
+            # Nesterov-Todd scaling per group: the scaled point
+            # lam = W z = W^-T x common to both sides.
             try:
-                scal = [self._nt_scaling(x[gi], z[gi]) for gi in range(len(self.groups))]
+                scal = [g.nt(g.seg(x), g.seg(z)) for g in groups]
             except np.linalg.LinAlgError:
                 status = STATUS_NUMERICAL_FAILURE
                 message = "iterate left the positive cone"
                 return finish(best)
-            w_mats = [s[0] for s in scal]
-            r_mats = [s[1] for s in scal]
-            rinv_mats = [s[2] for s in scal]
-            sig = [s[3] for s in scal]
 
-            schur = np.zeros((m, m))
-            a_wrw = np.zeros(self.n_cols)
-            for gi, g in enumerate(self.groups):
-                d = g.dim
-                n_g = len(g.blocks)
-                w = w_mats[gi]
-                # Map U -> W U W in the hvec basis, one (d^2, d^2) kernel per block.
-                wbw = np.einsum(_WBW, w, g.basis, w, optimize=g.wbw_path)
-                kern = hvec(wbw)
-                a3 = a[:, g.col_start : g.col_stop].reshape(m, n_g, d * d)
-                tmp = np.matmul(a3.transpose(1, 0, 2), kern)
-                schur += tmp.transpose(1, 0, 2).reshape(m, -1) @ a3.reshape(m, -1).T
-                wrw = w @ rd[gi] @ w
-                a_wrw[g.col_start : g.col_stop] = hvec(wrw).reshape(-1)
-
-            chol = self._factor_schur(schur)
-            if chol is None:
+            # The Newton system reduces to the Schur complement A H A^T with
+            # H = W^T W. It is factored as R^T R from a QR factorization of
+            # the scaled rows A W^T: forming H or the Schur complement
+            # itself would square the conditioning of blocks near the
+            # boundary, and near a degenerate optimum that leaves a primal
+            # residual the refinement cannot remove.
+            fac = self._factor_scaled_rows(scal)
+            if fac is None:
                 status = STATUS_NUMERICAL_FAILURE
                 message = "Schur complement factorization failed"
                 return finish(best)
 
-            mu = self._inner_state(x, z) / k_total
+            mu = float(x @ z) / k_total
+            w_rd = self._scaled(scal, "w", rd)
+            lam = self._per_group(lambda gi, g: scal[gi].lam)
 
             # Predictor: aim straight at the boundary.
-            g_aff = [-x[gi] for gi in range(len(self.groups))]
-            dx_a, _, dz_a = self._newton(a, rp, rd, g_aff, w_mats, a_wrw, chol)
-            ap_aff = min(1.0, self._max_step(dx_a, rinv_mats, sig, primal=True))
-            ad_aff = min(1.0, self._max_step(dz_a, r_mats, sig, primal=False))
-            mu_aff = (
-                self._inner_state(
-                    [x[gi] + ap_aff * dx_a[gi] for gi in range(len(self.groups))],
-                    [z[gi] + ad_aff * dz_a[gi] for gi in range(len(self.groups))],
-                )
-                / k_total
+            dx_a, _, dz_a, dxs_a, dzs_a = self._newton(
+                a, rp, rd, -lam, scal, w_rd, fac
             )
+            ap_aff = min(1.0, self._max_step(scal, dxs_a))
+            ad_aff = min(1.0, self._max_step(scal, dzs_a))
+            mu_aff = float((x + ap_aff * dx_a) @ (z + ad_aff * dz_a)) / k_total
             sigma = min(1.0, max(0.0, (max(mu_aff, 0.0) / mu) ** 3))
 
             # Corrector with the Mehrotra second-order term, assembled in the
-            # scaled frame where both X and Z share the spectrum sig. If the
-            # corrected step collapses, retry without the second-order term
-            # (plain centering), which is the standard safeguard.
+            # scaled frame where x and z both map to lam. If the corrected
+            # step collapses, retry without the second-order term (plain
+            # centering), which is the standard safeguard.
             def corrector_direction(with_second_order: bool):
-                g_cor = []
-                for gi in range(len(self.groups)):
-                    r_m = r_mats[gi]
-                    s = sig[gi]
+                def rhs(gi, g):
+                    s = scal[gi]
+                    r = sigma * mu * g.z0 - g.jordan(s.lam, s.lam)
                     if with_second_order:
-                        rinv = rinv_mats[gi]
-                        dxt = rinv @ dx_a[gi] @ rinv.conj().transpose(0, 2, 1)
-                        dzt = r_m.conj().transpose(0, 2, 1) @ dz_a[gi] @ r_m
-                        num = -0.5 * (dxt @ dzt + dzt @ dxt)
-                    else:
-                        n_g, d_g = s.shape[0], s.shape[1]
-                        num = np.zeros((n_g, d_g, d_g), dtype=np.complex128)
-                    d = self.groups[gi].dim
-                    rng = np.arange(d)
-                    num[:, rng, rng] += sigma * mu - s**2
-                    denom = s[:, :, None] + s[:, None, :]
-                    gt = 2.0 * num / denom
-                    g_cor.append(r_m @ gt @ r_m.conj().transpose(0, 2, 1))
-                dx, dy, dz = self._newton(a, rp, rd, g_cor, w_mats, a_wrw, chol)
-                ap = min(
-                    1.0,
-                    _STEP_FRACTION * self._max_step(dx, rinv_mats, sig, primal=True),
-                )
-                ad = min(
-                    1.0, _STEP_FRACTION * self._max_step(dz, r_mats, sig, primal=False)
-                )
+                        r = r - g.jordan(g.seg(dxs_a), g.seg(dzs_a))
+                    return s.solve(r)
+
+                gt = self._per_group(rhs)
+                dx, dy, dz, dxs, dzs = self._newton(a, rp, rd, gt, scal, w_rd, fac)
+                ap = min(1.0, _STEP_FRACTION * self._max_step(scal, dxs))
+                ad = min(1.0, _STEP_FRACTION * self._max_step(scal, dzs))
                 return dx, dy, dz, ap, ad
 
             dx, dy, dz, ap, ad = corrector_direction(True)
@@ -485,10 +826,8 @@ class PreparedSdp:
             # Eigenvalue-based step bounds can overshoot at extreme
             # conditioning; halve until the update verifiably stays in the
             # cone rather than letting the next scaling blow up.
-            ap, x_new = self._backtrack_into_cone(x, dx, ap)
-            ad, z_new = self._backtrack_into_cone(z, dz, ad)
-            x = x_new
-            z = z_new
+            ap, x = self._backtrack_into_cone(x, dx, ap)
+            ad, z = self._backtrack_into_cone(z, dz, ad)
             y = y + ad * dy
 
             if max(ap, ad) < 1e-8:
@@ -506,137 +845,76 @@ class PreparedSdp:
 
     # -- numerical pieces -------------------------------------------------
 
-    @staticmethod
-    def _nt_scaling(xg: np.ndarray, zg: np.ndarray):
-        lx = PreparedSdp._chol_batch(xg)
-        lz = PreparedSdp._chol_batch(zg)
-        prod = lz.conj().transpose(0, 2, 1) @ lx
-        u, s, vh = np.linalg.svd(prod)
-        if np.min(s) <= 0:
-            raise np.linalg.LinAlgError("singular NT scaling")
-        s_isqrt = 1.0 / np.sqrt(s)
-        r = (lx @ vh.conj().transpose(0, 2, 1)) * s_isqrt[:, None, :]
-        rinv = s_isqrt[:, :, None] * (u.conj().transpose(0, 2, 1) @ lz.conj().transpose(0, 2, 1))
-        w = r @ r.conj().transpose(0, 2, 1)
-        w = 0.5 * (w + w.conj().transpose(0, 2, 1))
-        return w, r, rinv, s
-
-    @staticmethod
-    def _chol_batch(mats: np.ndarray) -> np.ndarray:
-        try:
-            return np.linalg.cholesky(mats)
-        except np.linalg.LinAlgError:
-            # Tiny symmetric jitter rescues roundoff-level indefiniteness.
-            d = mats.shape[-1]
-            scale = np.max(np.abs(mats), axis=(-2, -1), keepdims=True)
-            jitter = 1e-14 * np.maximum(scale, 1.0) * np.eye(d)
-            for boost in (1.0, 1e2, 1e4):
-                try:
-                    return np.linalg.cholesky(mats + boost * jitter)
-                except np.linalg.LinAlgError:
-                    continue
-            raise
-
-    @staticmethod
-    def _factor_schur(schur: np.ndarray):
-        """Equilibrated Cholesky factorization of the Schur complement."""
-        if schur.shape[0] == 0:
-            return ()
-        d = np.sqrt(np.clip(np.diag(schur), 1e-300, None))
-        scaled = schur / np.outer(d, d)
-        for reg in (0.0, 1e-14, 1e-12, 1e-10):
-            try:
-                fac = scipy.linalg.cho_factor(
-                    scaled + reg * np.eye(scaled.shape[0]), lower=True
-                )
-                return (fac, d)
-            except np.linalg.LinAlgError:
-                continue
-        return None
-
-    @staticmethod
-    def _schur_solve(chol, rhs: np.ndarray) -> np.ndarray:
-        if chol == ():
-            return np.zeros(0)
-        fac, d = chol
-        return scipy.linalg.cho_solve(fac, rhs / d) / d
-
-    def _newton(self, a, rp, rd, g_rhs, w_mats, a_wrw, chol):
-        """Solve the scaled Newton system for (dx, dy, dz) given the
-        complementarity right-hand side g_rhs (one matrix batch per group).
-
-        The computed direction satisfies the dual-residual and
-        complementarity equations by construction; all numerical error lands
-        in A(dx) = rp, which two rounds of iterative refinement clean up.
-        This is what keeps the primal residual decreasing once the Schur
-        complement turns ill-conditioned near the optimum.
-        """
-        a_g = np.zeros(self.n_cols)
-        for gi, g in enumerate(self.groups):
-            a_g[g.col_start : g.col_stop] = hvec(g_rhs[gi]).reshape(-1)
-        rhs = rp - a @ a_g + a @ a_wrw
-        dy = self._schur_solve(chol, rhs)
-        aty = self._split(a.T @ dy)
-        dz = [rd[gi] - aty[gi] for gi in range(len(self.groups))]
-        dx = [
-            g_rhs[gi] - w_mats[gi] @ dz[gi] @ w_mats[gi]
-            for gi in range(len(self.groups))
+    def _factor_scaled_rows(self, scal):
+        """Q and R of (A W^T)^T = Q R, or None when R is singular."""
+        m = self.m
+        if m == 0:
+            return np.zeros((self.n_cols, 0)), np.zeros((0, 0))
+        parts = [
+            np.matmul(g.a_blocks, s.wt).transpose(0, 2, 1).reshape(-1, m)
+            for g, s in zip(self.groups, scal)
         ]
-        for _ in range(2):
-            e1 = rp - a @ self._flatten(dx)
-            if np.linalg.norm(e1) <= 1e-15 * (1.0 + np.linalg.norm(rp)):
+        qr, tau, _, info = scipy.linalg.lapack.dgeqrf(np.concatenate(parts))
+        r = np.triu(qr[:m])
+        singular = not (np.isfinite(r).all() and (np.abs(np.diag(r)) > 1e-300).all())
+        if info != 0 or singular:
+            return None
+        q, _, info = scipy.linalg.lapack.dorgqr(qr[:, :m], tau)
+        if info != 0:
+            return None
+        return q, r
+
+    def _scaled(self, scal, op: str, vec: np.ndarray) -> np.ndarray:
+        """Apply each group's W (op "w") or W^T (op "w_t") to a flat vector."""
+        return self._per_group(lambda gi, g: getattr(scal[gi], op)(g.seg(vec)))
+
+    def _newton(self, a, rp, rd, gt, scal, w_rd, fac):
+        """Solve the scaled Newton system
+
+            A dx = rp,   A^T dy + dz = rd,   W^-T dx + W dz = gt
+
+        for (dx, dy, dz) given the complementarity right-hand side gt in the
+        scaled frame, and return the scaled directions W^-T dx and W dz too.
+
+        With Q R = (A W^T)^T, the scaled primal direction is
+        gt - W rd + Q R dy. Starting from dy = 0, each pass solves
+        R^T t = rp - A dx and adds Q t to the scaled direction and R^-1 t to
+        dy, so A dx = rp holds to the accuracy of Q rather than of the
+        Schur complement. The first pass is the solve; two more refine it.
+        The dual residual equation holds by construction.
+        """
+        q, r = fac
+        dxs = gt - w_rd
+        dx = self._scaled(scal, "w_t", dxs)
+        dy = np.zeros(self.m)
+        norm_rp = np.linalg.norm(rp)
+        for _ in range(3):
+            e1 = rp - a @ dx
+            if np.linalg.norm(e1) <= 1e-15 * (1.0 + norm_rp):
                 break
-            delta_y = self._schur_solve(chol, e1)
-            aty_c = self._split(a.T @ delta_y)
-            for gi in range(len(self.groups)):
-                dz[gi] = dz[gi] - aty_c[gi]
-                dx[gi] = dx[gi] + w_mats[gi] @ aty_c[gi] @ w_mats[gi]
-            dy = dy + delta_y
-        return dx, dy, dz
+            t, _ = scipy.linalg.lapack.dtrtrs(r, e1, trans=1)
+            dxs = dxs + q @ t
+            dx = self._scaled(scal, "w_t", dxs)
+            dy = dy + scipy.linalg.lapack.dtrtrs(r, t)[0]
+        dz = rd - a.T @ dy
+        return dx, dy, dz, dxs, self._scaled(scal, "w", dz)
 
     def _backtrack_into_cone(self, state, delta, alpha, tries: int = 6):
-        """Return (alpha, new_state) with new_state certifiably positive
-        definite, halving alpha as needed; alpha 0 keeps the old state."""
+        """Return (alpha, new_state) with new_state strictly inside every
+        cone, halving alpha as needed; alpha 0 keeps the old state."""
         for _ in range(tries):
-            trial = []
-            ok = True
-            for gi in range(len(self.groups)):
-                m_new = state[gi] + alpha * delta[gi]
-                m_new = 0.5 * (m_new + m_new.conj().transpose(0, 2, 1))
-                try:
-                    np.linalg.cholesky(m_new)
-                except np.linalg.LinAlgError:
-                    ok = False
-                    break
-                trial.append(m_new)
-            if ok:
+            trial = state + alpha * delta
+            if all(g.interior(g.seg(trial)) for g in self.groups):
                 return alpha, trial
             alpha *= 0.5
         return 0.0, state
 
-    def _inner_state(self, xs, zs) -> float:
-        total = 0.0
-        for gi in range(len(self.groups)):
-            total += float(np.einsum("ijk,ikj->", xs[gi], zs[gi]).real)
-        return total
-
-    def _max_step(self, deltas, scalers, sig, primal: bool) -> float:
-        """Largest alpha with (state + alpha * delta) still in the cone."""
+    def _max_step(self, scal, scaled_delta) -> float:
+        """Largest alpha with lam + alpha * scaled_delta still in the cone:
+        the step along a direction given in the scaled frame."""
         alpha = np.inf
-        for gi in range(len(self.groups)):
-            s = sig[gi]
-            if primal:
-                rinv = scalers[gi]
-                scaled = rinv @ deltas[gi] @ rinv.conj().transpose(0, 2, 1)
-            else:
-                r_m = scalers[gi]
-                scaled = r_m.conj().transpose(0, 2, 1) @ deltas[gi] @ r_m
-            s_isqrt = 1.0 / np.sqrt(s)
-            t = scaled * s_isqrt[:, :, None] * s_isqrt[:, None, :]
-            t = 0.5 * (t + t.conj().transpose(0, 2, 1))
-            lam_min = float(np.min(np.linalg.eigvalsh(t)[..., 0]))
-            if lam_min < -1e-16:
-                alpha = min(alpha, -1.0 / lam_min)
+        for g, s in zip(self.groups, scal):
+            alpha = min(alpha, s.max_step(g.seg(scaled_delta)))
         return alpha
 
 

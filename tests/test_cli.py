@@ -101,6 +101,8 @@ def test_steer_check_command(tmp_path, capsys):
 
 
 _HALF_IDENTITY = {"dim": 2, "entries": [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]}
+# One more setting than the certifiers accept (MAX_SETTINGS is 8).
+_NINE_SETTINGS = [[0.0, 0.0, 1.0, 1.0, 1.0]] * 9
 
 
 @pytest.mark.parametrize(
@@ -111,8 +113,29 @@ _HALF_IDENTITY = {"dim": 2, "entries": [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5
         ("steer-check", {"assemblage": [[_HALF_IDENTITY], [_HALF_IDENTITY] * 2]}),
         ("jm-check", {"effects": []}),
         ("witness-opt", {"effects": []}),
+        # Input that loads but that the certifiers reject.
+        ("steer-check", {"assemblage": [[_HALF_IDENTITY]]}),
+        (
+            "steer-check",
+            {
+                "state": _HALF_IDENTITY,
+                "alice": {"bloch": [[0.0, 0.0, 1.0, 1.0, 1.0]]},
+            },
+        ),
+        ("jm-check", {"bloch": _NINE_SETTINGS}),
+        ("steer-check", {"visibility": 0.5, "alice": {"bloch": _NINE_SETTINGS}}),
     ],
-    ids=["no-settings", "no-outcomes", "ragged", "jm-no-effects", "witness-no-effects"],
+    ids=[
+        "no-settings",
+        "no-outcomes",
+        "ragged",
+        "jm-no-effects",
+        "witness-no-effects",
+        "one-outcome",
+        "qubit-state",
+        "jm-nine-settings",
+        "steer-nine-settings",
+    ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, command, data):
     path = tmp_path / "bad.json"

@@ -87,6 +87,19 @@ def test_conjecture1_small_run():
     assert c["errors"] == 0
 
 
+def test_conjecture1_iteration_tail_sample_reaches_optimal():
+    # Sample 3 of the seed-0 n=4 scan: its ensemble solve used to stop at
+    # MaxIterations after 200 iterations, with the Schur complement
+    # factored from a product that squares the conditioning of blocks near
+    # the boundary.
+    _, records = run_conjecture1(
+        ExperimentConfig(experiment="conjecture1", n=4, samples=6, seed=0)
+    )
+    rec = records[3]
+    assert rec.error is None
+    assert rec.solver_status == "Optimal"
+
+
 def test_conjecture1_zero_samples():
     cfg = ExperimentConfig(experiment="conjecture1", n=2, samples=0)
     summary, records = run_conjecture1(cfg)

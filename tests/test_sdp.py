@@ -309,14 +309,17 @@ def test_prepared_reuse_matches_fresh_solve():
 
 
 def _povm_program(n_blocks):
-    """Blocks X_j >= 0 (2x2) summing to the identity; a fresh seeded objective."""
-    builder = ProgramBuilder([2] * n_blocks)
+    """Blocks X_j >= 0 (3x3) summing to the identity; a fresh seeded
+    objective. The Schur contraction path is stored only on groups of
+    Hermitian blocks, d >= 3; 2x2 and 1x1 blocks are cones with closed-form
+    scalings."""
+    builder = ProgramBuilder([3] * n_blocks)
     builder.add_operator_equation(
-        {j: 1.0 for j in range(n_blocks)}, HermitianOperator.identity(2)
+        {j: 1.0 for j in range(n_blocks)}, HermitianOperator.identity(3)
     )
     rng = np.random.default_rng(n_blocks)
     objective = [
-        HermitianOperator(random_hermitian(rng, 2)) for _ in range(n_blocks)
+        HermitianOperator(random_hermitian(rng, 3)) for _ in range(n_blocks)
     ]
     return builder.prepared(), objective
 
@@ -345,15 +348,198 @@ def test_stored_schur_path_is_per_program():
     assert _solution_bytes(other.solve_with(other_objective)) == other_first
 
 
-@pytest.mark.parametrize("dims", [(2,), (2, 2, 2), (1, 1, 3, 3), (2,) * 9])
+@pytest.mark.parametrize("dims", [(3,), (3, 3, 3), (1, 1, 3, 3), (3,) * 9])
 def test_stored_schur_path_matches_fresh_planning(dims):
     prep = PreparedSdp(dims, [])
     rng = np.random.default_rng(len(dims))
-    for g in prep.groups:
+    hermitian = [g for g in prep.groups if g.dim >= 3]
+    assert len(hermitian) == 1
+    for g in hermitian:
         w = np.stack([random_hermitian(rng, g.dim) for _ in g.blocks])
         stored = np.einsum(sdp._WBW, w, g.basis, w, optimize=g.wbw_path)
         planned = np.einsum(sdp._WBW, w, g.basis, w, optimize=True)
         assert stored.tobytes() == planned.tobytes()
+
+
+# -- cone kernels -------------------------------------------------------------
+
+
+def _lorentz_primal(mats):
+    """Cone coordinates x = Q hvec(X) / sqrt(2) of 2x2 primal blocks."""
+    return hvec(mats) @ sdp._SOC_M / 2.0
+
+
+def _lorentz_dual(mats):
+    """Cone coordinates z = sqrt(2) Q hvec(Z) of 2x2 dual blocks."""
+    return hvec(mats) @ sdp._SOC_M
+
+
+def _random_pd(rng, n, dim=2):
+    """n random positive definite blocks, some of them near singular."""
+    out = []
+    for k in range(n):
+        raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        floor = 10.0 ** -(k % 7)
+        out.append(raw @ raw.conj().T / dim + floor * np.eye(dim))
+    return np.stack(out)
+
+
+def _soc_h(x, z):
+    """Schur kernel sqrt(det x / det z) (2 w w^T - J) from its formula."""
+    jmat = np.diag([1.0, -1.0, -1.0, -1.0])
+    det_x = np.einsum("ni,ij,nj->n", x, jmat, x)
+    det_z = np.einsum("ni,ij,nj->n", z, jmat, z)
+    xb = x / np.sqrt(det_x)[:, None]
+    zb = z / np.sqrt(det_z)[:, None]
+    gamma = np.sqrt(0.5 * (1.0 + np.sum(xb * zb, axis=1)))
+    wb = (xb + zb @ jmat) / (2.0 * gamma)[:, None]
+    return np.sqrt(det_x / det_z)[:, None, None] * (
+        2.0 * wb[:, :, None] * wb[:, None, :] - jmat
+    )
+
+
+def _rel(a, b):
+    return np.max(np.abs(a - b)) / max(1.0, np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lorentz_scaling_identities(seed):
+    rng = np.random.default_rng(seed)
+    x = _lorentz_primal(_random_pd(rng, 12))
+    z = _lorentz_dual(_random_pd(rng, 12))
+    s = sdp._LorentzScaling(x, z)
+    w = s.wt  # W is symmetric, so W^T = W
+    assert np.array_equal(w, np.swapaxes(w, 1, 2))
+    h = w @ w
+    assert _rel(h, _soc_h(x, z)) < 1e-12
+    assert _rel(np.einsum("nij,nj->ni", h, z), x) < 1e-12
+    assert _rel(s.w(z), s.lam) < 1e-12
+    assert _rel(np.linalg.solve(w, x[..., None])[..., 0], s.lam) < 1e-12
+    assert _rel(s.w_t(s.lam), x) < 1e-12
+    # lam o g = r is solved exactly.
+    r = rng.normal(size=x.shape)
+    g = sdp._LorentzGroup.jordan(s.lam, s.solve(r))
+    assert _rel(g, r) < 1e-12
+
+
+def test_hermitian_scaling_identities():
+    rng = np.random.default_rng(4)
+    group = sdp._HermitianGroup(3, list(range(5)), 0)
+    xm = _random_pd(rng, 5, dim=3)
+    zm = _random_pd(rng, 5, dim=3)
+    x, z = hvec(xm), hvec(zm)
+    s = group.nt(x, z)
+    # wt holds W^T: row k is W applied to basis vector k.
+    w = np.swapaxes(s.wt, 1, 2)
+    for k in range(9):
+        assert _rel(s.w(np.tile(np.eye(9)[k], (5, 1))), w[:, :, k]) < 1e-12
+    h = s.wt @ w
+    assert _rel(np.einsum("nij,nj->ni", h, z), x) < 1e-12
+    assert _rel(s.w(z), s.lam) < 1e-12
+    assert _rel(s.w_t(s.lam), x) < 1e-12
+    r = rng.normal(size=x.shape)
+    assert _rel(group.jordan(s.lam, s.solve(r)), r) < 1e-12
+
+
+def test_orthant_scaling_identities():
+    rng = np.random.default_rng(3)
+    x = rng.uniform(1e-6, 2.0, size=(9, 1))
+    z = rng.uniform(1e-6, 2.0, size=(9, 1))
+    s = sdp._OrthantScaling(x, z)
+    h = s.wt @ s.wt
+    assert _rel(h[:, :, 0] * z, x) < 1e-12
+    assert _rel(s.w(z), s.lam) < 1e-12
+    assert _rel(x / s.wt[:, :, 0], s.lam) < 1e-12
+    r = rng.normal(size=x.shape)
+    assert _rel(s.lam * s.solve(r), r) < 1e-12
+    delta = rng.normal(size=x.shape)
+    want = min(-s.lam[i, 0] / delta[i, 0] for i in range(9) if delta[i, 0] < 0)
+    assert s.max_step(delta) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lorentz_step_length_matches_eigvalsh(seed):
+    """The step to the boundary from x along dx is minus the inverse of the
+    least eigenvalue of X^-1/2 dX X^-1/2, for any NT scaling at x."""
+    rng = np.random.default_rng(10 + seed)
+    n = 10
+    xm = _random_pd(rng, n)
+    s = sdp._LorentzScaling(_lorentz_primal(xm), _lorentz_dual(_random_pd(rng, n)))
+    for trial in range(5):
+        dxm = np.stack([random_hermitian(rng, 2) for _ in range(n)])
+        if trial == 0:
+            dxm = _random_pd(rng, n)  # never leaves the cone
+        scaled = np.linalg.solve(s.wt, _lorentz_primal(dxm)[..., None])[..., 0]
+        got = s.max_step(scaled)
+        want = np.inf
+        for xb, db in zip(xm, dxm):
+            evals, evecs = np.linalg.eigh(xb)
+            isqrt = evecs @ np.diag(evals**-0.5) @ evecs.conj().T
+            lam_min = np.linalg.eigvalsh(isqrt @ db @ isqrt)[0]
+            if lam_min < 0:
+                want = min(want, -1.0 / lam_min)
+        if np.isinf(want):
+            assert np.isinf(got)
+        else:
+            assert got == pytest.approx(want, rel=1e-10)
+
+
+def test_lorentz_interior_agrees_with_cholesky():
+    rng = np.random.default_rng(21)
+    mats = [random_hermitian(rng, 2) for _ in range(200)]
+    mats += list(_random_pd(rng, 50))
+    for mat in mats:
+        try:
+            np.linalg.cholesky(mat)
+            definite = True
+        except np.linalg.LinAlgError:
+            definite = False
+        x = _lorentz_primal(mat[None])
+        assert sdp._LorentzGroup.interior(x) == definite
+
+
+def test_lorentz_coordinates_round_trip_and_pairing():
+    rng = np.random.default_rng(22)
+    xm = np.stack([random_hermitian(rng, 2) for _ in range(8)])
+    zm = np.stack([random_hermitian(rng, 2) for _ in range(8)])
+    group = sdp._LorentzGroup(2, list(range(8)), 0)
+    x = _lorentz_primal(xm)
+    z = group.dual_coords(hvec(zm))
+    assert np.max(np.abs(group.matrices(x) - xm)) < 1e-15
+    assert np.max(np.abs(unhvec(z @ sdp._SOC_M / 2.0, 2) - zm)) < 1e-15
+    # x.z is the trace pairing, x0 +- |x1| are X's eigenvalues, and the
+    # cone's Jordan product is the symmetrized matrix product.
+    traces = np.einsum("nij,nji->n", xm, zm).real
+    assert np.max(np.abs(np.sum(x * z, axis=1) - traces)) < 1e-14
+    lo, hi = sdp._soc_bounds(x)
+    evals = np.linalg.eigvalsh(xm)
+    assert np.max(np.abs(np.stack([lo, hi], axis=1) - evals)) < 1e-14
+    sym = 0.5 * (xm @ zm + zm @ xm)
+    assert np.max(np.abs(group.jordan(x, z) - group.dual_coords(hvec(sym)))) < 1e-14
+
+
+def test_block_dimension_picks_the_cone():
+    prep = PreparedSdp((3, 1, 2, 2, 1, 4), [])
+    kinds = {g.dim: type(g) for g in prep.groups}
+    assert kinds == {
+        1: sdp._OrthantGroup,
+        2: sdp._LorentzGroup,
+        3: sdp._HermitianGroup,
+        4: sdp._HermitianGroup,
+    }
+
+
+def test_program_without_equalities():
+    # min tr X1 + tr X2 + x3 over the cones: the optimum is 0.
+    prep = PreparedSdp((1, 2, 3), [])
+    objective = [
+        HermitianOperator([[1.0]]),
+        HermitianOperator.identity(2),
+        HermitianOperator.identity(3),
+    ]
+    sol = prep.solve_with(objective, maximize=False)
+    assert sol.status == STATUS_OPTIMAL
+    assert sol.primal_value == pytest.approx(0.0, abs=1e-8)
 
 
 def test_builder_operator_equation():
