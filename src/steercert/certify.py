@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .linalg import HermitianOperator
-from .quantum import Assemblage, MeasurementSet, bloch_from_povm
+from .quantum import Assemblage, MeasurementSet, bloch_from_povm, check_binary_qubit
 from .sdp import STATUS_OPTIMAL, ProgramBuilder
 from .tolerances import (
     DEFAULT_FEAS_TOL,
@@ -63,8 +63,7 @@ def _verdict(status: str, crit: float, gap_tol: float, yes: str, no: str) -> str
 def check_jm_input(mset: MeasurementSet) -> None:
     """Raise ValueError unless jm_critical_visibility accepts the set:
     two-outcome qubit measurements, at most MAX_SETTINGS of them."""
-    if mset.dim != 2 or any(len(p) != 2 for p in mset.settings):
-        raise ValueError("expected two-outcome qubit measurements")
+    check_binary_qubit(mset)
     if mset.n > MAX_SETTINGS:
         raise ValueError(f"parent search is exponential in n; refusing n > {MAX_SETTINGS}")
 

@@ -32,6 +32,7 @@ from .quantum import (
     MeasurementSet,
     Povm,
     assemblage_from,
+    check_binary_qubit,
     depolarize_measurements,
     noisy_singlet,
     povm_from_bloch,
@@ -604,6 +605,7 @@ def run_witness_opt(config: ExperimentConfig):
     start = time.perf_counter()
     try:
         mset = load_measurement_set(config.input_path)
+        check_binary_qubit(mset)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"cannot load measurement set: {exc}") from exc
     if not 2 <= mset.n <= 7:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tolerances import PSD_TOL, STRUCTURAL_TOL
+from .tolerances import STRUCTURAL_TOL
 
 
 class HermitianOperator:
@@ -85,43 +85,5 @@ class HermitianOperator:
         return f"HermitianOperator(dim={self.dim})"
 
 
-def eig_hermitian(op: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and matching orthonormal eigenvectors."""
-    return np.linalg.eigh(op.entries)
-
-
 def min_eigenvalue(op: HermitianOperator) -> float:
     return float(np.linalg.eigvalsh(op.entries)[0])
-
-
-def is_psd(op: HermitianOperator, tol: float = PSD_TOL) -> bool:
-    return min_eigenvalue(op) >= -tol
-
-
-def kron(a: HermitianOperator, b: HermitianOperator) -> HermitianOperator:
-    return HermitianOperator(np.kron(a.entries, b.entries))
-
-
-def partial_trace_first(
-    op: HermitianOperator, dim_first: int, dim_second: int
-) -> HermitianOperator:
-    """Trace out the first tensor factor of a (dim_first * dim_second) matrix."""
-    if op.dim != dim_first * dim_second:
-        raise ValueError(f"dimension mismatch: {op.dim} != {dim_first}*{dim_second}")
-    t = op.entries.reshape(dim_first, dim_second, dim_first, dim_second)
-    return HermitianOperator(np.einsum("ikil->kl", t))
-
-
-def partial_trace_second(
-    op: HermitianOperator, dim_first: int, dim_second: int
-) -> HermitianOperator:
-    """Trace out the second tensor factor."""
-    if op.dim != dim_first * dim_second:
-        raise ValueError(f"dimension mismatch: {op.dim} != {dim_first}*{dim_second}")
-    t = op.entries.reshape(dim_first, dim_second, dim_first, dim_second)
-    return HermitianOperator(np.einsum("ikjk->ij", t))
-
-
-def frobenius_inner(a: HermitianOperator, b: HermitianOperator) -> float:
-    """Real Hilbert-Schmidt inner product Tr[a b] of two Hermitian matrices."""
-    return float(np.sum(a.entries.conj() * b.entries).real)

@@ -185,10 +185,15 @@ def povm_from_bloch(params: BlochPovmParams) -> MeasurementSet:
     return MeasurementSet(settings)
 
 
-def bloch_from_povm(mset: MeasurementSet) -> BlochPovmParams:
-    """Read Bloch parameters back off a two-outcome qubit measurement set."""
+def check_binary_qubit(mset: MeasurementSet) -> None:
+    """Raise ValueError unless every setting is a two-outcome qubit measurement."""
     if mset.dim != 2 or any(len(p) != 2 for p in mset.settings):
         raise ValueError("expected two-outcome qubit measurements")
+
+
+def bloch_from_povm(mset: MeasurementSet) -> BlochPovmParams:
+    """Read Bloch parameters back off a two-outcome qubit measurement set."""
+    check_binary_qubit(mset)
     axes, eta, alpha = [], [], []
     for p in mset.settings:
         b0 = p[0].entries
@@ -229,8 +234,7 @@ def depolarize_measurements(mset: MeasurementSet, v: float) -> MeasurementSet:
     """Mix every effect with white noise: B -> v B + (1 - v) I/2."""
     if not 0.0 <= v <= 1.0:
         raise ValueError("visibility must lie in [0, 1]")
-    if mset.dim != 2 or any(len(p) != 2 for p in mset.settings):
-        raise ValueError("expected two-outcome qubit measurements")
+    check_binary_qubit(mset)
     half = 0.5 * np.eye(2, dtype=np.complex128)
     out = []
     for p in mset.settings:
@@ -254,14 +258,6 @@ def noisy_singlet(v: float) -> HermitianOperator:
     psi[2] = -1.0 / np.sqrt(2.0)
     rho = v * np.outer(psi, psi.conj()) + (1.0 - v) * np.eye(4) / 4.0
     return HermitianOperator(rho)
-
-
-def born(state: HermitianOperator, effect: HermitianOperator) -> float:
-    """Outcome probability Tr[rho E], clamped to [0, 1]."""
-    if state.dim != effect.dim:
-        raise ValueError("state and effect dimensions differ")
-    p = float(np.sum(state.entries.conj() * effect.entries).real)
-    return min(1.0, max(0.0, p))
 
 
 def assemblage_from(state: HermitianOperator, alice: MeasurementSet) -> Assemblage:

@@ -9,8 +9,15 @@ where each X_j is a Hermitian d_j x d_j matrix and <.,.> is the
 Hilbert-Schmidt inner product. The solver is an infeasible-start primal-dual
 path-following method with Nesterov-Todd (NT) scaling and a Mehrotra
 second-order corrector, written directly on numpy so that runs are
-deterministic bit-for-bit for identical inputs. Redundant equality rows are
-removed up front by a pivoted QR factorization of the constraint matrix.
+deterministic bit-for-bit for identical inputs.
+
+The equalities enter as one real matrix with a row per equation and d_j^2
+hvec columns per block (below), in block order, plus the right-hand side.
+ProgramBuilder writes operator equations straight into those rows;
+operator_rows turns SdpProblem's per-block HermitianOperator coefficients
+into them. PreparedSdp rejects non-finite rows, regroups the columns by
+block dimension with one gather and removes redundant rows up front by a
+pivoted QR factorization.
 
 Hermitian matrices are vectorized isometrically into R^{d^2} ("hvec"):
 diagonal entries, then sqrt(2) * real and sqrt(2) * imag of the upper
@@ -162,7 +169,7 @@ def unhvec(vecs: np.ndarray, dim: int) -> np.ndarray:
 class SdpProblem:
     """One conic program. ``objective`` and each constraint's coefficient list
     hold one HermitianOperator per block, with None standing for a zero
-    coefficient."""
+    coefficient. solve() turns the constraints into rows with operator_rows."""
 
     dims: tuple[int, ...]
     objective: list
@@ -563,6 +570,11 @@ def _make_group(dim: int, blocks: list[int], col_start: int) -> _Group:
     return _HermitianGroup(dim, blocks, col_start)
 
 
+def _block_starts(dims) -> np.ndarray:
+    """Offsets of each block's d_j^2 hvec columns in block order, and the total."""
+    return np.cumsum((0,) + tuple(d * d for d in dims))
+
+
 class PreparedSdp:
     """Constraint-side preprocessing, reusable across objectives.
 
@@ -571,7 +583,9 @@ class PreparedSdp:
     solve() entry point prepares and solves in one go.
     """
 
-    def __init__(self, dims, constraints) -> None:
+    def __init__(self, dims, a, b) -> None:
+        """``a`` holds one equality row per entry of ``b`` over the hvec
+        coordinates of every block, d_j^2 columns per block in block order."""
         self.dims = tuple(int(d) for d in dims)
         by_dim: dict[int, list[int]] = {}
         for j, d in enumerate(self.dims):
@@ -588,23 +602,22 @@ class PreparedSdp:
             for pos, j in enumerate(g.blocks):
                 self.block_slot[j] = (gi, pos)
 
-        m = len(constraints)
-        a_mat = np.zeros((m, self.n_cols), dtype=np.float64)
-        b = np.zeros(m, dtype=np.float64)
-        for i, (coeffs, rhs) in enumerate(constraints):
-            b[i] = float(rhs)
-            for j, op in enumerate(coeffs):
-                if op is None:
-                    continue
-                if op.dim != self.dims[j]:
-                    raise ValueError(
-                        f"constraint {i} coefficient {j} has wrong dimension"
-                    )
-                gi, pos = self.block_slot[j]
-                g = self.groups[gi]
-                d2 = g.dim * g.dim
-                start = g.col_start + pos * d2
-                a_mat[i, start : start + d2] = hvec(op.entries)
+        a = np.asarray(a, dtype=np.float64)
+        b = np.asarray(b, dtype=np.float64)
+        m = b.size
+        if b.ndim != 1 or a.shape != (m, self.n_cols):
+            raise ValueError(f"expected a ({m}, {self.n_cols}) constraint matrix")
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise ValueError("equality rows must be finite")
+        # One gather regroups the block-order columns by dimension.
+        block_start = _block_starts(self.dims)
+        order = np.concatenate(
+            [
+                (block_start[g.blocks][:, None] + np.arange(g.dim * g.dim)).ravel()
+                for g in self.groups
+            ]
+        )
+        a_mat = a[:, order]
 
         self.failure: str | None = None
         if m > 0:
@@ -918,6 +931,25 @@ class PreparedSdp:
         return alpha
 
 
+def operator_rows(dims, constraints) -> tuple[np.ndarray, np.ndarray]:
+    """The constraint matrix and right-hand side that PreparedSdp takes, from
+    SdpProblem constraints: one row per (coefficients, rhs) pair, holding
+    hvec of each block's coefficient (None for zero) in block order."""
+    dims = tuple(int(d) for d in dims)
+    start = _block_starts(dims)
+    a = np.zeros((len(constraints), int(start[-1])))
+    b = np.zeros(len(constraints))
+    for i, (coeffs, rhs) in enumerate(constraints):
+        b[i] = float(rhs)
+        for j, op in enumerate(coeffs):
+            if op is None:
+                continue
+            if op.dim != dims[j]:
+                raise ValueError(f"constraint {i} coefficient {j} has wrong dimension")
+            a[i, start[j] : start[j + 1]] = hvec(op.entries)
+    return a, b
+
+
 def solve(
     problem: SdpProblem,
     gap_tol: float = DEFAULT_GAP_TOL,
@@ -925,7 +957,7 @@ def solve(
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> SdpSolution:
     """Solve one SdpProblem end to end."""
-    prep = PreparedSdp(problem.dims, problem.constraints)
+    prep = PreparedSdp(problem.dims, *operator_rows(problem.dims, problem.constraints))
     return prep.solve_with(
         problem.objective,
         objective_const=problem.objective_const,
@@ -936,40 +968,58 @@ def solve(
     )
 
 
-class ProgramBuilder:
-    """Accumulates operator-valued equality constraints and an objective,
-    producing the scalar-row SdpProblem the solver consumes.
+def _hermitian_hvec(mat) -> np.ndarray:
+    """hvec of the Hermitian part (M + M^H) / 2 of a square matrix: the only
+    part that pairs with the Hermitian basis."""
+    mat = np.asarray(mat, dtype=np.complex128)
+    return hvec(0.5 * (mat + mat.conj().T))
 
-    Terms in an operator equation are either a real scalar multiplying a
-    matrix block of the equation's dimension, or a Hermitian matrix
-    multiplying a 1x1 (scalar) block.
+
+class ProgramBuilder:
+    """Accumulates equality constraints as rows of the real constraint matrix
+    that PreparedSdp takes: d_j^2 hvec columns per block, in block order.
+
+    An operator equation sum_j T_j = R of dimension d adds d^2 rows, the hvec
+    coordinates of both sides. A term is either a real scalar c multiplying
+    a block of dimension d, which writes c I on that block's columns, or a
+    matrix M multiplying a 1x1 (scalar) block, which writes the one column
+    hvec((M + M^H) / 2). A scalar row adds one row, hvec of each coefficient.
     """
 
     def __init__(self, dims) -> None:
         self.dims = tuple(int(d) for d in dims)
-        self.rows: list = []
-        self._objective: list = [None] * len(self.dims)
-        self._maximize = True
-        self._const = 0.0
+        self._start = _block_starts(self.dims)
+        self._rows: list[np.ndarray] = []
+        self._rhs: list[np.ndarray] = []
 
     def add_scalar_row(self, coeffs: dict, rhs: float) -> None:
-        row = [None] * len(self.dims)
+        row = np.zeros((1, int(self._start[-1])))
         for j, op in coeffs.items():
-            op = self._as_operator(op, self.dims[j])
-            row[j] = op
-        self.rows.append((row, float(rhs)))
+            dim = self.dims[j]
+            if isinstance(op, HermitianOperator):
+                op = op.entries
+            elif np.isscalar(op):
+                if dim != 1:
+                    raise ValueError("scalar coefficients require a 1x1 block")
+                op = [[op]]
+            if np.shape(op) != (dim, dim):
+                raise ValueError("coefficient dimension mismatch")
+            row[0, self._start[j] : self._start[j + 1]] = _hermitian_hvec(op)
+        self._rows.append(row)
+        self._rhs.append(np.array([float(rhs)]))
 
     def add_operator_equation(self, terms: dict, rhs) -> None:
         if isinstance(rhs, HermitianOperator):
             dim = rhs.dim
-            rhs_mat = rhs.entries
+            rhs_vec = hvec(rhs.entries)
         else:
             dim = 1
-            rhs_mat = np.array([[float(rhs)]], dtype=np.complex128)
-        basis = hermitian_basis(dim)
-        prepared = []
+            rhs_vec = np.array([float(rhs)])
+        d2 = dim * dim
+        rows = np.zeros((d2, int(self._start[-1])))
+        scalar_cols, scalars = [], []
         for j, coeff in terms.items():
-            if isinstance(coeff, HermitianOperator) or isinstance(coeff, np.ndarray):
+            if isinstance(coeff, (HermitianOperator, np.ndarray)):
                 if self.dims[j] != 1:
                     raise ValueError(
                         "matrix-valued terms are only supported on scalar blocks"
@@ -977,57 +1027,26 @@ class ProgramBuilder:
                 mat = coeff.entries if isinstance(coeff, HermitianOperator) else coeff
                 if mat.shape != (dim, dim):
                     raise ValueError("matrix term does not match equation dimension")
-                prepared.append((j, "matrix", np.asarray(mat, dtype=np.complex128)))
+                rows[:, self._start[j]] = _hermitian_hvec(mat)
             else:
                 if self.dims[j] != dim:
                     raise ValueError(
                         f"block {j} has dimension {self.dims[j]}, equation needs {dim}"
                     )
-                prepared.append((j, "scalar", float(coeff)))
-        for k in range(dim * dim):
-            bk = basis[k]
-            row = [None] * len(self.dims)
-            for j, kind, val in prepared:
-                if kind == "scalar":
-                    row[j] = HermitianOperator(val * bk)
-                else:
-                    weight = float(np.sum(bk.conj() * val).real)
-                    row[j] = HermitianOperator([[weight]])
-            rhs_k = float(np.sum(bk.conj() * rhs_mat).real)
-            self.rows.append((row, rhs_k))
+                scalar_cols.append(self._start[j])
+                scalars.append(float(coeff))
+        if scalars:
+            # c I in hvec coordinates: row k reads coordinate k of each block.
+            k = np.arange(d2)
+            rows[k, np.add.outer(scalar_cols, k)] = np.asarray(scalars)[:, None]
+        self._rows.append(rows)
+        self._rhs.append(rhs_vec)
 
-    def set_objective(self, coeffs: dict, const: float = 0.0, maximize: bool = True) -> None:
-        self._objective = [None] * len(self.dims)
-        for j, op in coeffs.items():
-            self._objective[j] = self._as_operator(op, self.dims[j])
-        self._const = float(const)
-        self._maximize = bool(maximize)
-
-    def _as_operator(self, op, dim: int) -> HermitianOperator:
-        if isinstance(op, HermitianOperator):
-            if op.dim != dim:
-                raise ValueError("coefficient dimension mismatch")
-            return op
-        if np.isscalar(op):
-            if dim != 1:
-                raise ValueError("scalar coefficients require a 1x1 block")
-            return HermitianOperator([[float(op)]])
-        out = HermitianOperator(op)
-        if out.dim != dim:
-            raise ValueError("coefficient dimension mismatch")
-        return out
-
-    def problem(self) -> SdpProblem:
-        return SdpProblem(
-            dims=self.dims,
-            objective=list(self._objective),
-            constraints=list(self.rows),
-            maximize=self._maximize,
-            objective_const=self._const,
-        )
+    def constraint_matrix(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rows so far and their right-hand sides, in block order."""
+        if not self._rows:
+            return np.zeros((0, int(self._start[-1]))), np.zeros(0)
+        return np.concatenate(self._rows), np.concatenate(self._rhs)
 
     def prepared(self) -> PreparedSdp:
-        return PreparedSdp(self.dims, self.rows)
-
-    def objective_list(self) -> list:
-        return list(self._objective)
+        return PreparedSdp(self.dims, *self.constraint_matrix())

@@ -8,9 +8,6 @@ keeps the solver, the certifiers and the test suite consistent.
 # round trips. Anything violating this is a programming error, not noise.
 STRUCTURAL_TOL = 1e-12
 
-# Spectral comparisons: eigenvalue agreement, reconstruction residuals.
-SPECTRAL_TOL = 1e-10
-
 # Decision threshold for "is this operator positive semidefinite".
 PSD_TOL = 1e-9
 

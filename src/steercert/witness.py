@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .linalg import HermitianOperator
-from .quantum import PAULIS, MeasurementSet, Povm, noisy_singlet
+from .quantum import PAULIS, MeasurementSet, Povm, check_binary_qubit, noisy_singlet
 from .sdp import STATUS_OPTIMAL, ProgramBuilder
 from .tolerances import DEFAULT_FEAS_TOL, DEFAULT_GAP_TOL
 
@@ -257,8 +257,7 @@ def optimize_ensemble(
     """
     if bob.n != scenario.n:
         raise ValueError("measurement count does not match the scenario")
-    if bob.dim != 2 or any(len(p) != 2 for p in bob.settings):
-        raise ValueError("expected two-outcome qubit measurements")
+    check_binary_qubit(bob)
     cached_scenario, prepared = _ensemble_program(
         scenario.n, bool(include_nosignaling)
     )

@@ -101,6 +101,14 @@ def test_steer_check_command(tmp_path, capsys):
 
 
 _HALF_IDENTITY = {"dim": 2, "entries": [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]}
+_THIRD_IDENTITY = {
+    "dim": 2,
+    "entries": [[1.0 / 3.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0 / 3.0, 0.0]],
+}
+_QUTRIT_SPLIT = [
+    {"dim": 3, "entries": [[1.0, 0.0]] + [[0.0, 0.0]] * 8},
+    {"dim": 3, "entries": [[0.0, 0.0]] * 4 + [[1.0, 0.0]] + [[0.0, 0.0]] * 3 + [[1.0, 0.0]]},
+]
 # One more setting than the certifiers accept (MAX_SETTINGS is 8).
 _NINE_SETTINGS = [[0.0, 0.0, 1.0, 1.0, 1.0]] * 9
 
@@ -124,6 +132,8 @@ _NINE_SETTINGS = [[0.0, 0.0, 1.0, 1.0, 1.0]] * 9
         ),
         ("jm-check", {"bloch": _NINE_SETTINGS}),
         ("steer-check", {"visibility": 0.5, "alice": {"bloch": _NINE_SETTINGS}}),
+        ("witness-opt", {"effects": [_QUTRIT_SPLIT] * 2}),
+        ("witness-opt", {"effects": [[_THIRD_IDENTITY] * 3] * 2}),
     ],
     ids=[
         "no-settings",
@@ -135,6 +145,8 @@ _NINE_SETTINGS = [[0.0, 0.0, 1.0, 1.0, 1.0]] * 9
         "qubit-state",
         "jm-nine-settings",
         "steer-nine-settings",
+        "witness-qutrit",
+        "witness-three-outcomes",
     ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, command, data):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from steercert.linalg import HermitianOperator, eig_hermitian
+from steercert.linalg import HermitianOperator
 from steercert.quantum import (
     Assemblage,
     BlochPovmParams,
@@ -9,7 +9,6 @@ from steercert.quantum import (
     Povm,
     assemblage_from,
     bloch_from_povm,
-    born,
     depolarize_measurements,
     noisy_singlet,
     povm_from_bloch,
@@ -52,7 +51,7 @@ def test_depolarize_composes():
 
 
 def test_noisy_singlet_spectrum():
-    vals, _ = eig_hermitian(noisy_singlet(0.5))
+    vals = np.linalg.eigvalsh(noisy_singlet(0.5).entries)
     assert np.allclose(vals, [0.125, 0.125, 0.125, 0.625])
     assert abs(noisy_singlet(0.3).trace() - 1.0) < 1e-14
 
@@ -62,16 +61,6 @@ def test_singlet_anticorrelation():
     sigma = assemblage_from(noisy_singlet(1.0), alice)
     assert np.allclose(sigma[0, 0].entries, np.diag([0.0, 0.5]), atol=1e-12)
     assert np.allclose(sigma[1, 0].entries, np.diag([0.5, 0.0]), atol=1e-12)
-
-
-def test_born_rule_and_clamping():
-    state = HermitianOperator(np.diag([1.0, 0.0]))
-    assert born(state, HermitianOperator(np.diag([1.0, 0.0]))) == 1.0
-    assert born(state, HermitianOperator(np.diag([0.25, 0.5]))) == 0.25
-    # Roundoff just outside [0, 1] must clamp, not escape.
-    assert born(state, HermitianOperator(np.diag([1.0 + 1e-13, 0.0]))) == 1.0
-    with pytest.raises(ValueError):
-        born(state, HermitianOperator(np.eye(4)))
 
 
 def test_povm_validation():

@@ -13,6 +13,7 @@ from steercert.sdp import (
     SdpProblem,
     hermitian_basis,
     hvec,
+    operator_rows,
     solve,
     unhvec,
 )
@@ -297,7 +298,7 @@ def test_prepared_reuse_matches_fresh_solve():
     dim = 3
     rng = np.random.default_rng(0)
     constraints = [([HermitianOperator.identity(dim)], 1.0)]
-    prep = PreparedSdp((dim,), constraints)
+    prep = PreparedSdp((dim,), *operator_rows((dim,), constraints))
     for seed in range(4):
         c = HermitianOperator(random_hermitian(np.random.default_rng(seed), dim))
         fresh = solve(
@@ -348,9 +349,13 @@ def test_stored_schur_path_is_per_program():
     assert _solution_bytes(other.solve_with(other_objective)) == other_first
 
 
+def _without_rows(dims):
+    return PreparedSdp(dims, *operator_rows(dims, []))
+
+
 @pytest.mark.parametrize("dims", [(3,), (3, 3, 3), (1, 1, 3, 3), (3,) * 9])
 def test_stored_schur_path_matches_fresh_planning(dims):
-    prep = PreparedSdp(dims, [])
+    prep = _without_rows(dims)
     rng = np.random.default_rng(len(dims))
     hermitian = [g for g in prep.groups if g.dim >= 3]
     assert len(hermitian) == 1
@@ -519,7 +524,7 @@ def test_lorentz_coordinates_round_trip_and_pairing():
 
 
 def test_block_dimension_picks_the_cone():
-    prep = PreparedSdp((3, 1, 2, 2, 1, 4), [])
+    prep = _without_rows((3, 1, 2, 2, 1, 4))
     kinds = {g.dim: type(g) for g in prep.groups}
     assert kinds == {
         1: sdp._OrthantGroup,
@@ -531,7 +536,7 @@ def test_block_dimension_picks_the_cone():
 
 def test_program_without_equalities():
     # min tr X1 + tr X2 + x3 over the cones: the optimum is 0.
-    prep = PreparedSdp((1, 2, 3), [])
+    prep = _without_rows((1, 2, 3))
     objective = [
         HermitianOperator([[1.0]]),
         HermitianOperator.identity(2),
@@ -546,8 +551,8 @@ def test_builder_operator_equation():
     builder = ProgramBuilder([2, 2])
     ident = HermitianOperator.identity(2)
     builder.add_operator_equation({0: 1.0, 1: 1.0}, ident)
-    builder.set_objective({0: HermitianOperator([[1.0, 0.0], [0.0, 0.0]])})
-    sol = solve(builder.problem())
+    objective = [HermitianOperator([[1.0, 0.0], [0.0, 0.0]]), None]
+    sol = builder.prepared().solve_with(objective)
     assert sol.status == STATUS_OPTIMAL
     assert sol.primal_value == pytest.approx(1.0, abs=1e-7)
     total = sol.block_values[0] + sol.block_values[1]
@@ -560,8 +565,7 @@ def test_builder_matrix_term_on_scalar_block():
     target = HermitianOperator([[1.0, 0.0], [0.0, 2.0]])
     builder.add_operator_equation({0: 1.0, 1: -1.0 * target}, HermitianOperator.zeros(2))
     builder.add_scalar_row({0: HermitianOperator.identity(2)}, 1.0)
-    builder.set_objective({1: 1.0})
-    sol = solve(builder.problem())
+    sol = builder.prepared().solve_with([None, HermitianOperator([[1.0]])])
     assert sol.status == STATUS_OPTIMAL
     assert sol.primal_value == pytest.approx(1.0 / 3.0, abs=1e-7)
 
@@ -569,7 +573,141 @@ def test_builder_matrix_term_on_scalar_block():
 def test_builder_scalar_equation():
     builder = ProgramBuilder([1, 1])
     builder.add_operator_equation({0: 1.0, 1: 1.0}, 1.0)
-    builder.set_objective({0: 1.0})
-    sol = solve(builder.problem())
+    sol = builder.prepared().solve_with([HermitianOperator([[1.0]]), None])
     assert sol.status == STATUS_OPTIMAL
     assert sol.primal_value == pytest.approx(1.0, abs=1e-7)
+
+
+def test_non_finite_rows_are_rejected():
+    builder = ProgramBuilder([1, 1])
+    builder.add_operator_equation({0: 1.0, 1: 1.0}, float("nan"))
+    with pytest.raises(ValueError, match="finite"):
+        builder.prepared()
+    builder = ProgramBuilder([2, 1])
+    nan_term = np.array([[np.nan, 0.0], [0.0, 1.0]])
+    builder.add_operator_equation({0: 1.0, 1: nan_term}, HermitianOperator.zeros(2))
+    with pytest.raises(ValueError, match="finite"):
+        builder.prepared()
+    with pytest.raises(ValueError, match="finite"):
+        PreparedSdp((1, 1), [[1.0, np.nan]], [1.0])
+    with pytest.raises(ValueError, match="finite"):
+        PreparedSdp((1, 1), [[1.0, 1.0]], [np.inf])
+
+
+class _RecordingBuilder(ProgramBuilder):
+    """A ProgramBuilder that also keeps every call, for the reference rows."""
+
+    def __init__(self, dims):
+        super().__init__(dims)
+        self.calls = []
+        _RecordingBuilder.built.append(self)
+
+    def add_scalar_row(self, coeffs, rhs):
+        self.calls.append((None, dict(coeffs), rhs))
+        super().add_scalar_row(coeffs, rhs)
+
+    def add_operator_equation(self, terms, rhs):
+        self.calls.append((dict(terms), None, rhs))
+        super().add_operator_equation(terms, rhs)
+
+
+def _reference_rows(builder):
+    """The rows of the operator-row path: every scalar row and every basis
+    matrix B_k of an equation's dimension wrapped one coefficient per block
+    in a HermitianOperator, a matrix term M on a 1x1 block weighted by
+    <B_k, M>, and each HermitianOperator vectorized with hvec."""
+    start = np.cumsum([0] + [d * d for d in builder.dims])
+    rows, rhs = [], []
+    for terms, coeffs, r in builder.calls:
+        if coeffs is not None:
+            row = np.zeros(start[-1])
+            for j, op in coeffs.items():
+                op = [[op]] if np.isscalar(op) else op
+                op = op if isinstance(op, HermitianOperator) else HermitianOperator(op)
+                row[start[j] : start[j + 1]] = hvec(op.entries)
+            rows.append(row)
+            rhs.append(float(r))
+            continue
+        rhs_mat = r.entries if isinstance(r, HermitianOperator) else np.array([[r]])
+        for bk in hermitian_basis(rhs_mat.shape[0]):
+            row = np.zeros(start[-1])
+            for j, c in terms.items():
+                if isinstance(c, (HermitianOperator, np.ndarray)):
+                    mat = c.entries if isinstance(c, HermitianOperator) else c
+                    row[start[j]] = np.sum(bk.conj() * mat).real
+                else:
+                    op = HermitianOperator(float(c) * bk)
+                    row[start[j] : start[j + 1]] = hvec(op.entries)
+            rows.append(row)
+            rhs.append(float(np.sum(bk.conj() * rhs_mat).real))
+    return np.array(rows), np.array(rhs)
+
+
+def _production_builders(monkeypatch):
+    from steercert import certify, witness
+    from steercert.quantum import assemblage_from, noisy_singlet, sample_random_povm_set
+
+    _RecordingBuilder.built = []
+    monkeypatch.setattr(certify, "ProgramBuilder", _RecordingBuilder)
+    monkeypatch.setattr(witness, "ProgramBuilder", _RecordingBuilder)
+    rng = np.random.default_rng(31)
+    for n in (2, 3, 4):
+        _, mset = sample_random_povm_set(rng, n)
+        certify.jm_critical_visibility(mset)
+        certify.lhs_critical_visibility(assemblage_from(noisy_singlet(0.8), mset))
+    witness._ensemble_program.__wrapped__(3, True)
+    witness._alice_program.__wrapped__(3)
+    return _RecordingBuilder.built
+
+
+def _mixed_builder():
+    # Dimensions out of order, so block order and group order differ; the
+    # matrix term on block 1 is not Hermitian.
+    builder = _RecordingBuilder((3, 1, 2, 2, 1))
+    rng = np.random.default_rng(12)
+    skew = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    rhs2 = HermitianOperator(random_hermitian(rng, 2))
+    builder.add_operator_equation({2: 0.7, 3: -1.3, 1: skew, 4: rhs2}, rhs2)
+    builder.add_operator_equation(
+        {0: 2.0}, HermitianOperator(random_hermitian(rng, 3) + 4.0 * np.eye(3))
+    )
+    builder.add_operator_equation({1: 1.0, 4: 0.5}, 1.5)
+    builder.add_scalar_row(
+        {
+            0: HermitianOperator.identity(3),
+            1: 2.0,
+            2: random_hermitian(rng, 2),
+            3: HermitianOperator.identity(2),
+        },
+        4.0,
+    )
+    return builder
+
+
+def test_rows_match_the_operator_row_path(monkeypatch):
+    _RecordingBuilder.built = []
+    mixed = _mixed_builder()
+    builders = _production_builders(monkeypatch) + [mixed]
+    assert len(builders) == 3 * 2 + 2 + 1
+    for builder in builders:
+        a, b = builder.constraint_matrix()
+        a_ref, b_ref = _reference_rows(builder)
+        assert a.shape == a_ref.shape
+        assert np.max(np.abs(a - a_ref)) <= 1e-15
+        assert np.max(np.abs(b - b_ref)) <= 1e-15
+
+
+def test_prepared_gathers_block_columns_by_dimension():
+    _RecordingBuilder.built = []
+    builder = _mixed_builder()
+    a, _ = builder.constraint_matrix()
+    prep = builder.prepared()
+    # Full row rank: a_red keeps every row, in order.
+    assert prep.m == a.shape[0]
+    start = np.cumsum([0] + [d * d for d in builder.dims])
+    for j, (gi, pos) in prep.block_slot.items():
+        g = prep.groups[gi]
+        d2 = g.dim * g.dim
+        cols = slice(g.col_start + pos * d2, g.col_start + (pos + 1) * d2)
+        expected = g.dual_coords(a[:, start[j] : start[j + 1]])
+        assert np.array_equal(prep.a_red[:, cols], expected)
