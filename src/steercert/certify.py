@@ -108,7 +108,9 @@ def jm_critical_visibility(
         terms[v_ix] = -(mset[x][0].entries - half)
         builder.add_operator_equation(terms, HermitianOperator(half))
     builder.add_operator_equation({v_ix: 1.0, s_ix: 1.0}, 1.0)
-    objective = [None] * n_l + [HermitianOperator([[1.0]]), None]
+    # Maximize v: the objective in hvec coordinates, 4 per 2x2 block.
+    objective = np.zeros(4 * n_l + 2)
+    objective[4 * n_l] = 1.0
     sol = builder.prepared().solve_with(
         objective, maximize=True, gap_tol=gap_tol, feas_tol=feas_tol
     )
@@ -152,7 +154,9 @@ def lhs_critical_visibility(
         terms[v_ix] = -(sigma - t_x * half)
         builder.add_operator_equation(terms, HermitianOperator(t_x * half))
     builder.add_operator_equation({v_ix: 1.0, s_ix: 1.0}, 1.0)
-    objective = [None] * n_l + [HermitianOperator([[1.0]]), None]
+    # Maximize v: the objective in hvec coordinates, 4 per 2x2 block.
+    objective = np.zeros(4 * n_l + 2)
+    objective[4 * n_l] = 1.0
     sol = builder.prepared().solve_with(
         objective, maximize=True, gap_tol=gap_tol, feas_tol=feas_tol
     )

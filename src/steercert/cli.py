@@ -38,9 +38,12 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
 def _parse_n(raw: str | None, experiment: str):
     if raw is None:
         return None
-    if experiment in ("vn_table", "nc_bound"):
-        return tuple(int(part) for part in raw.split(",") if part.strip())
-    return int(raw)
+    try:
+        if experiment in ("vn_table", "nc_bound"):
+            return tuple(int(part) for part in raw.split(",") if part.strip())
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"--n must be an integer or a comma list, got {raw!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

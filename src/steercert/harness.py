@@ -67,6 +67,15 @@ class ConfigError(ValueError):
     """Raised for configurations the harness refuses to run."""
 
 
+def _converted(kind, name: str, value):
+    """value as an int or a float, or a ConfigError naming the field."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{name} must be {what}, got {value!r}") from None
+
+
 def sample_seed(master_seed: int, index: int) -> int:
     """Expand a master seed into the per-sample seed for one index.
 
@@ -98,20 +107,20 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
-        self.samples = int(self.samples)
-        self.seed = int(self.seed) & MASK64
-        self.threads = int(self.threads)
+        self.samples = _converted(int, "samples", self.samples)
+        self.seed = _converted(int, "seed", self.seed) & MASK64
+        self.threads = _converted(int, "threads", self.threads)
         if self.samples < 0:
             raise ConfigError("samples must be nonnegative")
         if self.threads < 1:
             raise ConfigError("threads must be at least 1")
         for name in ("gap_tol", "feas_tol", "bisect_tol"):
-            value = float(getattr(self, name))
+            value = _converted(float, name, getattr(self, name))
             if not value > 0.0:
                 raise ConfigError(f"{name} must be positive")
             setattr(self, name, value)
         if self.restarts is not None:
-            self.restarts = int(self.restarts)
+            self.restarts = _converted(int, "restarts", self.restarts)
             if self.restarts < 1:
                 raise ConfigError("restarts must be at least 1")
         self.n = self._normalize_n()
@@ -119,25 +128,24 @@ class ExperimentConfig:
             if not self.input_path:
                 raise ConfigError(f"{self.experiment} needs an input file")
 
+    def _n_list(self, default) -> tuple:
+        """The setting counts of a table run, sorted and without repeats."""
+        ns = self.n
+        if ns is None:
+            ns = default
+        elif not isinstance(ns, (list, tuple)):
+            ns = (ns,)
+        return tuple(sorted(set(_converted(int, "n", k) for k in ns)))
+
     def _normalize_n(self):
         if self.experiment == "vn_table":
-            ns = self.n
-            if ns is None:
-                ns = (2, 3, 4, 5, 6, 7) if self.full else (2, 3, 4, 5)
-            elif isinstance(ns, int):
-                ns = (ns,)
-            ns = tuple(sorted(set(int(k) for k in ns)))
+            ns = self._n_list((2, 3, 4, 5, 6, 7) if self.full else (2, 3, 4, 5))
             for k in ns:
                 if not 2 <= k <= 7:
                     raise ConfigError("table entries need 2 <= n <= 7")
             return ns
         if self.experiment == "nc_bound":
-            ns = self.n
-            if ns is None:
-                ns = (2, 3, 4)
-            elif isinstance(ns, int):
-                ns = (ns,)
-            ns = tuple(sorted(set(int(k) for k in ns)))
+            ns = self._n_list((2, 3, 4))
             for k in ns:
                 if not 2 <= k <= 4:
                     raise ConfigError(
@@ -146,7 +154,7 @@ class ExperimentConfig:
                     )
             return ns
         if self.experiment in ("conjecture1", "witness_opt"):
-            k = 3 if self.n is None else int(self.n)
+            k = 3 if self.n is None else _converted(int, "n", self.n)
             if not 2 <= k <= 7:
                 raise ConfigError("supported range is 2 <= n <= 7")
             return k

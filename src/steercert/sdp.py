@@ -15,9 +15,10 @@ The equalities enter as one real matrix with a row per equation and d_j^2
 hvec columns per block (below), in block order, plus the right-hand side.
 ProgramBuilder writes operator equations straight into those rows;
 operator_rows turns SdpProblem's per-block HermitianOperator coefficients
-into them. PreparedSdp rejects non-finite rows, regroups the columns by
-block dimension with one gather and removes redundant rows up front by a
-pivoted QR factorization.
+into them. An objective takes the layout of one such row. PreparedSdp
+rejects non-finite rows and objectives, regroups the columns by block
+dimension with one gather and removes redundant rows up front by a pivoted
+QR factorization.
 
 Hermitian matrices are vectorized isometrically into R^{d^2} ("hvec"):
 diagonal entries, then sqrt(2) * real and sqrt(2) * imag of the upper
@@ -49,6 +50,22 @@ factorization of the scaled rows A W^T instead of a Cholesky factorization
 of the assembled product, so its conditioning is not squared near a
 degenerate optimum.
 
+PreparedSdp solves a program for one objective (solve_with) or for a
+batch of k objectives side by side (solve_batch). Both run the same IPM
+loop, on instance rows: the iterate of every instance is one row of a
+(k, n) array, the cone operations act on the k n blocks row by row, and only
+the quantities that decide something are taken per instance: the residual
+norms, mu and sigma, the step lengths, the interior test and the stopping
+rule. Each instance keeps its own best iterate, status, iteration count,
+stall count, corrector fallback and backtracking. An instance that
+converges or fails (non-finite iterate, a block that cannot be scaled, a
+singular R, a collapsed step) leaves the batch, and the rest go on. The
+Schur step is a QR factorization of each instance's scaled rows and
+LAPACK triangular solves with its R. Every product with one instance's data
+is a BLAS or LAPACK call of its own, on operands whose memory order does not
+depend on the batch, so an instance's result is bit for bit the same
+whatever else is in its batch; solve_with is a batch of one.
+
 Everything that depends only on a dimension is built once, on first use, and
 cached read-only: the gather/scatter offsets and scale vectors behind hvec and
 unhvec, and the Hermitian basis. The cached plan is bit-exact: hvec gives the
@@ -61,6 +78,7 @@ PreparedSdp also fixes the contraction path of its scaling once.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -200,6 +218,9 @@ class SdpProblem:
 
 @dataclass
 class SdpSolution:
+    """One solve's outcome. ``block_values`` holds the primal value of each
+    block as a (d_j, d_j) complex array, in block order."""
+
     status: str
     primal_value: float
     dual_value: float
@@ -234,32 +255,42 @@ for _arr in (_SOC_SIGN, _SOC_J, _SOC_M):
 del _arr
 
 
-def _bmv(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Batched matrix-vector product, (n, k, k) times (n, k)."""
+def _matvec(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Matrix times each row of vecs, (m, n) or (k, m, n) times (k, n): one
+    BLAS product per row, so a row's result does not depend on the others."""
     return np.matmul(mats, vecs[..., None])[..., 0]
 
 
 def _rowdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of two (n, k) arrays."""
-    return np.einsum("ij,ij->i", u, v)
+    """Dot products over the last axis, broadcast over the leading ones."""
+    return np.vecdot(u, v)
 
 
-def _step_from_min_eig(lam_min: float) -> float:
-    """Largest alpha with e + alpha * t in the cone, given t's least eigenvalue."""
-    return -1.0 / lam_min if lam_min < -1e-16 else np.inf
+def _steps_from_min_eig(lam_min: np.ndarray) -> np.ndarray:
+    """Largest alpha with e + alpha * t in the cone, per instance, given t's
+    least eigenvalue (inf when lam_min is above -1e-16 or nan)."""
+    out = np.full(lam_min.shape, np.inf)
+    np.divide(-1.0, lam_min, out=out, where=lam_min < -1e-16)
+    return out
+
+
+# The cone operations below act row by row: row i of every result depends
+# on row i of the arguments alone. A scaling flags the blocks it could not
+# scale in ``bad`` instead of raising, so that one instance of a batch can
+# fail while the others go on; a flagged block's other entries are garbage.
 
 
 class _OrthantScaling:
     """NT scaling of 1x1 blocks: W = sqrt(x / z) acting entrywise."""
 
-    __slots__ = ("wt", "lam", "_w")
+    __slots__ = ("wt", "lam", "bad", "_w")
 
     def __init__(self, x: np.ndarray, z: np.ndarray) -> None:
-        if not ((x > 0).all() and (z > 0).all()):
-            raise np.linalg.LinAlgError("iterate left the orthant")
-        self._w = np.sqrt(x / z)
+        self.bad = ~((x > 0) & (z > 0))[:, 0]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            self._w = np.sqrt(x / z)
+            self.lam = np.sqrt(x * z)
         self.wt = self._w[:, :, None]
-        self.lam = np.sqrt(x * z)
 
     def w(self, v: np.ndarray) -> np.ndarray:
         return self._w * v
@@ -269,8 +300,10 @@ class _OrthantScaling:
     def solve(self, r: np.ndarray) -> np.ndarray:
         return r / self.lam
 
-    def max_step(self, delta: np.ndarray) -> float:
-        return _step_from_min_eig(float((delta / self.lam).min()))
+    def least_eig(self, delta: np.ndarray) -> np.ndarray:
+        """Per block, the least eigenvalue of the step delta scaled by lam;
+        delta may carry leading axes, as may every least_eig argument."""
+        return (delta / self.lam)[..., 0]
 
 
 def _soc_bounds(v: np.ndarray):
@@ -291,15 +324,16 @@ class _LorentzScaling:
     quadratic cone program solvers, 2010).
     """
 
-    __slots__ = ("wt", "lam", "_det_lam", "_u", "_inv_l1", "_inv_l2")
+    __slots__ = ("wt", "lam", "bad", "_det_lam", "_u", "_inv_l1", "_inv_l2")
 
     def __init__(self, x: np.ndarray, z: np.ndarray) -> None:
         x_lo, x_hi = _soc_bounds(x)
         z_lo, z_hi = _soc_bounds(z)
-        if not ((x_lo > 0).all() and (z_lo > 0).all()):
-            raise np.linalg.LinAlgError("iterate left the Lorentz cone")
-        det_x = x_lo * x_hi
-        det_z = z_lo * z_hi
+        self.bad = ~(np.minimum(x_lo, z_lo) > 0)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            self._scale(x, z, x_lo * x_hi, z_lo * z_hi)
+
+    def _scale(self, x, z, det_x, det_z) -> None:
         x_bar = x / np.sqrt(det_x)[:, None]
         z_bar = z / np.sqrt(det_z)[:, None]
         gamma = np.sqrt(0.5 + 0.5 * _rowdot(x_bar, z_bar))[:, None]
@@ -334,7 +368,7 @@ class _LorentzScaling:
         self._inv_l2 = l1 / det_lam
 
     def w(self, v: np.ndarray) -> np.ndarray:
-        return _bmv(self.wt, v)
+        return _matvec(self.wt, v)
 
     w_t = w
 
@@ -348,22 +382,21 @@ class _LorentzScaling:
         out[:, 1:] = (r[:, 1:] - g0[:, None] * lam[:, 1:]) / lam0
         return out
 
-    def max_step(self, delta: np.ndarray) -> float:
-        """Largest alpha with lam + alpha delta in the cone: minus the inverse
-        of the least eigenvalue of P(lam^-1/2) delta, where P is the quadratic
-        representation. In lam's Jordan frame that matrix is
+    def least_eig(self, delta: np.ndarray) -> np.ndarray:
+        """Per block, the least eigenvalue of P(lam^-1/2) delta, where P is
+        the quadratic representation: lam + alpha delta stays in the cone
+        up to minus its inverse. In lam's Jordan frame that matrix is
         a c_1 + b c_2 + delta_perp / sqrt(l1 l2), with a and b the frame
         coordinates of delta over l1 and l2."""
-        d0 = delta[:, 0]
-        d1 = delta[:, 1:]
+        d0 = delta[..., 0]
+        d1 = delta[..., 1:]
         along = _rowdot(self._u, d1)
         perp2 = np.maximum(_rowdot(d1, d1) - along * along, 0.0)
         a = (d0 + along) * self._inv_l1
         b = (d0 - along) * self._inv_l2
-        eig_min = 0.5 * (a + b) - np.sqrt(
+        return 0.5 * (a + b) - np.sqrt(
             0.25 * (a - b) ** 2 + perp2 * (self._inv_l1 * self._inv_l2)
         )
-        return _step_from_min_eig(float(eig_min.min()))
 
 
 class _HermitianScaling:
@@ -371,22 +404,25 @@ class _HermitianScaling:
     R R^H Z R R^H = X with the common scaled spectrum sig of X and Z.
     W maps U to R^H U R, W^T maps G back to R G R^H, and lam is diag(sig)."""
 
-    __slots__ = ("wt", "lam", "_dim", "_r", "_sig")
+    __slots__ = ("wt", "lam", "bad", "_dim", "_r", "_sig")
 
     def __init__(self, group: "_HermitianGroup", x: np.ndarray, z: np.ndarray) -> None:
         d = group.dim
-        lx = _chol_batch(unhvec(x, d))
-        lz = _chol_batch(unhvec(z, d))
+        per = len(group.blocks)
+        lx, bad_x = _chol_batch(unhvec(x, d), per)
+        lz, bad_z = _chol_batch(unhvec(z, d), per)
         prod = lz.conj().transpose(0, 2, 1) @ lx
         _, s, vh = np.linalg.svd(prod)
-        if np.min(s) <= 0:
-            raise np.linalg.LinAlgError("singular NT scaling")
-        s_isqrt = 1.0 / np.sqrt(s)
-        r = (lx @ vh.conj().transpose(0, 2, 1)) * s_isqrt[:, None, :]
-        # W maps U to R^H U R; row k of wt is hvec(R^H B_k R) for basis
-        # matrix B_k, the transpose of W's matrix in the hvec basis.
-        r_h = r.conj().transpose(0, 2, 1)
-        self.wt = hvec(np.einsum(_WBW, r_h, group.basis, r, optimize=group.wbw_path))
+        self.bad = bad_x | bad_z | (np.min(s, axis=1) <= 0)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            s_isqrt = 1.0 / np.sqrt(s)
+            r = (lx @ vh.conj().transpose(0, 2, 1)) * s_isqrt[:, None, :]
+            # W maps U to R^H U R; row k of wt is hvec(R^H B_k R) for basis
+            # matrix B_k, the transpose of W's matrix in the hvec basis.
+            r_h = r.conj().transpose(0, 2, 1)
+            self.wt = hvec(
+                np.einsum(_WBW, r_h, group.basis, r, optimize=group.wbw_path)
+            )
         self.lam = np.zeros_like(x)
         self.lam[:, :d] = s
         self._dim = d
@@ -407,14 +443,21 @@ class _HermitianScaling:
         s = self._sig
         return hvec(2.0 * unhvec(r, self._dim) / (s[:, :, None] + s[:, None, :]))
 
-    def max_step(self, delta: np.ndarray) -> float:
+    def least_eig(self, delta: np.ndarray) -> np.ndarray:
         s_isqrt = 1.0 / np.sqrt(self._sig)
         t = unhvec(delta, self._dim) * s_isqrt[:, :, None] * s_isqrt[:, None, :]
-        t = 0.5 * (t + t.conj().transpose(0, 2, 1))
-        return _step_from_min_eig(float(np.min(np.linalg.eigvalsh(t)[..., 0])))
+        t = 0.5 * (t + np.swapaxes(t.conj(), -1, -2))
+        # eigvalsh raises on a single non-finite block; such a block gets
+        # no eigenvalue (nan) instead, which the backtracking then rejects.
+        finite = np.isfinite(t).all(axis=(-2, -1))
+        if finite.all():
+            return np.linalg.eigvalsh(t)[..., 0]
+        least = np.full(t.shape[:-2], np.nan)
+        least[finite] = np.linalg.eigvalsh(t[finite])[..., 0]
+        return least
 
 
-def _chol_batch(mats: np.ndarray) -> np.ndarray:
+def _chol_jittered(mats: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.cholesky(mats)
     except np.linalg.LinAlgError:
@@ -430,6 +473,27 @@ def _chol_batch(mats: np.ndarray) -> np.ndarray:
         raise
 
 
+def _chol_batch(mats: np.ndarray, per: int):
+    """Cholesky factors of the blocks of consecutive instances, ``per``
+    blocks each, and a per-block failure flag. The jitter of _chol_jittered
+    goes on all blocks of an instance that needs it, and on no other; an
+    instance it cannot rescue gets identity factors and is flagged."""
+    try:
+        return np.linalg.cholesky(mats), np.zeros(len(mats), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    out = np.empty_like(mats)
+    bad = np.zeros(len(mats), dtype=bool)
+    for start in range(0, len(mats), per):
+        rows = slice(start, start + per)
+        try:
+            out[rows] = _chol_jittered(mats[rows])
+        except np.linalg.LinAlgError:
+            out[rows] = np.eye(mats.shape[-1])
+            bad[rows] = True
+    return out, bad
+
+
 class _Group:
     """Blocks of one common dimension, batched, and their cone.
 
@@ -437,11 +501,12 @@ class _Group:
     vectors, d^2 cone coordinates per block, and offers the same operations
     whatever its cone: the coordinate maps, the NT scaling ``nt(x, z)``,
     the Jordan product ``jordan(u, v)`` and the strict-interior test
-    ``interior(x)``. A scaling holds ``wt``, the (n, d^2, d^2) matrices of
-    W^T, whose product W^T W is the Schur kernel H with H z = x, and the
-    scaled point ``lam`` = W z = W^-T x. It applies W and W^T (``w``,
-    ``w_t``), solves lam o g = r (``solve``) and gives the largest step
-    along a scaled direction that stays in the cone (``max_step``).
+    ``interior(x)``, per block. A scaling holds ``wt``, the (n, d^2, d^2)
+    matrices of W^T, whose product W^T W is the Schur kernel H with H z = x,
+    the scaled point ``lam`` = W z = W^-T x, and ``bad``, the blocks it
+    could not scale. It applies W and W^T (``w``, ``w_t``), solves
+    lam o g = r (``solve``) and gives, per block, the least eigenvalue of a
+    scaled direction in lam's frame (``least_eig``), which bounds the step.
     ``a_blocks`` holds the group's columns of the reduced constraint
     matrix, shape (n, m, d^2), once the program is built.
     """
@@ -454,8 +519,10 @@ class _Group:
         self.col_start = col_start
         self.col_stop = col_start + len(blocks) * dim * dim
 
-    def seg(self, vec: np.ndarray) -> np.ndarray:
-        return vec[self.col_start : self.col_stop].reshape(len(self.blocks), -1)
+    def seg(self, vecs: np.ndarray) -> np.ndarray:
+        """The group's blocks of instance rows (k, n_cols), as (k * n, d^2)
+        rows in instance-major order."""
+        return vecs[:, self.col_start : self.col_stop].reshape(-1, self.dim * self.dim)
 
     def dual_coords(self, h: np.ndarray) -> np.ndarray:
         """Cone coordinates of dual-side vectors (objective, constraint
@@ -490,8 +557,8 @@ class _OrthantGroup(_Group):
         return u * v
 
     @staticmethod
-    def interior(x: np.ndarray) -> bool:
-        return bool((x > 0).all())
+    def interior(x: np.ndarray) -> np.ndarray:
+        return x[:, 0] > 0
 
 
 class _LorentzGroup(_Group):
@@ -526,8 +593,8 @@ class _LorentzGroup(_Group):
         return out
 
     @staticmethod
-    def interior(x: np.ndarray) -> bool:
-        return bool((_soc_bounds(x)[0] > 0).all())
+    def interior(x: np.ndarray) -> np.ndarray:
+        return _soc_bounds(x)[0] > 0
 
 
 class _HermitianGroup(_Group):
@@ -553,12 +620,21 @@ class _HermitianGroup(_Group):
         vm = unhvec(v, self.dim)
         return hvec(0.5 * (um @ vm + vm @ um))
 
-    def interior(self, x: np.ndarray) -> bool:
+    def interior(self, x: np.ndarray) -> np.ndarray:
+        mats = unhvec(x, self.dim)
         try:
-            np.linalg.cholesky(unhvec(x, self.dim))
+            np.linalg.cholesky(mats)
         except np.linalg.LinAlgError:
-            return False
-        return True
+            return np.array([_positive_definite(mat) for mat in mats], dtype=bool)
+        return np.ones(len(mats), dtype=bool)
+
+
+def _positive_definite(mat: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _make_group(dim: int, blocks: list[int], col_start: int) -> _Group:
@@ -575,12 +651,46 @@ def _block_starts(dims) -> np.ndarray:
     return np.cumsum((0,) + tuple(d * d for d in dims))
 
 
+def _qr(mats: np.ndarray):
+    """Reduced QR factors of each (n, m) matrix of a stack, m <= n, with
+    each Q in Fortran order.
+
+    Both branches run LAPACK's dgeqrf and dorgqr on each matrix and give the
+    same bits: one matrix goes to LAPACK directly, which is faster than
+    np.linalg.qr's wrapper, and a stack goes through np.linalg.qr, which
+    loops over it in C. The memory order of Q is part of the result: it
+    picks the BLAS kernel of every product with Q, and so its rounding."""
+    if len(mats) > 1:
+        q, r = np.linalg.qr(mats)
+        return q.transpose(0, 2, 1).copy().transpose(0, 2, 1), r
+    m = mats.shape[2]
+    qr, tau, _, _ = scipy.linalg.lapack.dgeqrf(mats[0])
+    q, _, _ = scipy.linalg.lapack.dorgqr(qr[:, :m], tau)
+    return q[None], np.triu(qr[:m])[None]
+
+
+class _Active:
+    """IPM state of the instances still iterating, one row per instance:
+    its position in the batch, objective, iterate, residuals, stall count
+    and best iterate so far (x, its (int_p, int_d, pinf, dinf), score)."""
+
+    __slots__ = (
+        "index", "c", "dinf_scale", "x", "z", "y", "rp", "rd", "rp_tol", "stall",
+        "best_x", "best_stats", "best_score",
+    )
+
+    def keep(self, rows: np.ndarray) -> None:
+        for name in self.__slots__:
+            setattr(self, name, getattr(self, name)[rows])
+
+
 class PreparedSdp:
     """Constraint-side preprocessing, reusable across objectives.
 
     Preparing once and re-solving with fresh objectives is what the
     alternating optimization in the witness module leans on; the plain
-    solve() entry point prepares and solves in one go.
+    solve() entry point prepares and solves in one go. solve_with solves
+    one objective and solve_batch several side by side.
     """
 
     def __init__(self, dims, a, b) -> None:
@@ -609,15 +719,16 @@ class PreparedSdp:
             raise ValueError(f"expected a ({m}, {self.n_cols}) constraint matrix")
         if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise ValueError("equality rows must be finite")
-        # One gather regroups the block-order columns by dimension.
+        # One gather regroups the block-order columns by dimension; the
+        # objectives take the same gather.
         block_start = _block_starts(self.dims)
-        order = np.concatenate(
+        self._order = np.concatenate(
             [
                 (block_start[g.blocks][:, None] + np.arange(g.dim * g.dim)).ravel()
                 for g in self.groups
             ]
         )
-        a_mat = a[:, order]
+        a_mat = a[:, self._order]
 
         self.failure: str | None = None
         if m > 0:
@@ -665,23 +776,25 @@ class PreparedSdp:
             [np.tile(per_block(g), len(g.blocks)) for g in self.groups]
         )
 
-    def _objective_vec(self, objective, sign: float) -> np.ndarray:
-        parts = []
-        for g in self.groups:
-            cg = np.zeros((len(g.blocks), g.dim, g.dim), dtype=np.complex128)
-            for pos, j in enumerate(g.blocks):
-                op = objective[j]
-                if op is not None:
-                    cg[pos] = sign * op.entries
-            parts.append(g.dual_coords(hvec(cg)).reshape(-1))
-        return np.concatenate(parts)
+    def _cone_objectives(self, objectives: np.ndarray, sign: float) -> np.ndarray:
+        """Block-order hvec objectives (k, n_cols), times sign, regrouped by
+        dimension and mapped to each group's dual cone coordinates."""
+        # C order: row reductions over an instance must not see its
+        # neighbours, and fancy indexing along columns can leave F order.
+        h = sign * np.ascontiguousarray(objectives[:, self._order])
+        k = len(h)
+        return np.concatenate(
+            [g.dual_coords(g.seg(h)).reshape(k, -1) for g in self.groups], axis=1
+        )
 
-    def _per_group(self, fn) -> np.ndarray:
-        """Flat vector assembled from fn(group_index, group), each returning
-        the group's (n, d^2) segment."""
-        out = np.empty(self.n_cols)
+    def _per_group(self, k: int, fn) -> np.ndarray:
+        """Instance rows (k, n_cols) assembled from fn(group_index, group),
+        each returning the group's (k * n, d^2) block rows."""
+        if len(self.groups) == 1:
+            return fn(0, self.groups[0]).reshape(k, -1)
+        out = np.empty((k, self.n_cols))
         for gi, g in enumerate(self.groups):
-            out[g.col_start : g.col_stop] = fn(gi, g).reshape(-1)
+            out[:, g.col_start : g.col_stop] = fn(gi, g).reshape(k, -1)
         return out
 
     # -- main solve -------------------------------------------------------
@@ -695,122 +808,188 @@ class PreparedSdp:
         feas_tol: float = DEFAULT_FEAS_TOL,
         max_iter: int = DEFAULT_MAX_ITER,
     ) -> SdpSolution:
-        if len(objective) != len(self.dims):
-            raise ValueError("objective must list one coefficient per block")
+        """Solve for one objective, given like a row of the constraint
+        matrix: the hvec coordinates of each block's coefficient, d_j^2 per
+        block in block order. The result is a batch of one of solve_batch."""
+        objective = np.asarray(objective, dtype=np.float64)
+        if objective.shape != (self.n_cols,):
+            raise ValueError(f"expected an objective of {self.n_cols} hvec coordinates")
+        (sol,) = self._solve(
+            objective[None], objective_const, maximize, gap_tol, feas_tol, max_iter
+        )
+        return sol
+
+    def solve_batch(
+        self,
+        objectives,
+        objective_const: float = 0.0,
+        maximize: bool = True,
+        gap_tol: float = DEFAULT_GAP_TOL,
+        feas_tol: float = DEFAULT_FEAS_TOL,
+        max_iter: int = DEFAULT_MAX_ITER,
+    ) -> list:
+        """Solve for each row of ``objectives`` (k, n_cols), laid out as
+        for solve_with, in one IPM loop over all of them. Solution i is
+        bit for bit the one solve_with gives for objective i alone."""
+        objectives = np.asarray(objectives, dtype=np.float64)
+        if objectives.ndim != 2 or objectives.shape[1] != self.n_cols:
+            raise ValueError(f"expected objectives of {self.n_cols} hvec coordinates")
+        return self._solve(
+            objectives, objective_const, maximize, gap_tol, feas_tol, max_iter
+        )
+
+    def _solve(
+        self, objectives, objective_const, maximize, gap_tol, feas_tol, max_iter
+    ) -> list:
+        if not np.isfinite(objectives).all():
+            raise ValueError("objectives must be finite")
+        k_in = len(objectives)
+        if k_in == 0:
+            return []
         if self.failure is not None:
-            return SdpSolution(
-                status=STATUS_NUMERICAL_FAILURE,
-                primal_value=np.nan,
-                dual_value=np.nan,
-                gap=np.nan,
-                primal_infeasibility=np.nan,
-                dual_infeasibility=np.nan,
-                iterations=0,
-                block_values=[],
-                message=self.failure,
-            )
+            return [
+                SdpSolution(
+                    status=STATUS_NUMERICAL_FAILURE,
+                    primal_value=np.nan,
+                    dual_value=np.nan,
+                    gap=np.nan,
+                    primal_infeasibility=np.nan,
+                    dual_infeasibility=np.nan,
+                    iterations=0,
+                    block_values=[],
+                    message=self.failure,
+                )
+                for _ in range(k_in)
+            ]
 
         sign = -1.0 if maximize else 1.0
-        groups = self.groups
-        c_vec = self._objective_vec(objective, sign)
         a = self.a_red
+        a_t = a.T
         b = self.b_red
-        m = self.m
         weight = self._dual_weight
         k_total = self._degree
         norm_b = np.linalg.norm(b)
-        norm_c = np.sqrt(float(c_vec @ (weight * c_vec)))
+        out: list = [None] * k_in
 
-        x = self._x_start.copy()
-        z = self._z_start.copy()
-        y = np.zeros(m)
-
-        status = STATUS_MAX_ITERATIONS
-        message = ""
-        stall = 0
+        st = _Active()
+        st.index = np.arange(k_in)
+        st.c = self._cone_objectives(objectives, sign)
+        st.dinf_scale = 1.0 + np.sqrt(_rowdot(st.c, weight * st.c))
+        st.x = np.tile(self._x_start, (k_in, 1))
+        st.z = np.tile(self._z_start, (k_in, 1))
+        st.y = np.zeros((k_in, self.m))
+        st.rp = st.rd = np.empty((k_in, 0))
+        st.rp_tol = np.empty(k_in)
+        st.stall = np.zeros(k_in, dtype=int)
+        st.best_x = st.x.copy()
+        st.best_stats = np.full((k_in, 4), np.nan)
+        st.best_score = np.full(k_in, np.inf)
         it = 0
-        best = None
-        best_score = np.inf
 
-        def finish(state) -> SdpSolution:
-            xs, int_p, int_d, pinf, dinf = state
-            if maximize:
-                primal = -int_p + objective_const
-                dual = -int_d + objective_const
-            else:
-                primal = int_p + objective_const
-                dual = int_d + objective_const
-            mats = [g.matrices(g.seg(xs)) for g in groups]
-            block_values = [None] * len(self.dims)
-            for j, (gi, pos) in self.block_slot.items():
-                block_values[j] = HermitianOperator(mats[gi][pos])
-            return SdpSolution(
-                status=status,
-                primal_value=float(primal),
-                dual_value=float(dual),
-                gap=float(abs(primal - dual)),
-                primal_infeasibility=float(pinf),
-                dual_infeasibility=float(dinf),
-                iterations=it,
-                block_values=block_values,
-                message=message,
+        # Each instance's decisions are taken on Python floats, one
+        # instance at a time, which for a batch of one costs no more numpy
+        # calls than a solver written for one objective.
+        def finish(i: int, status: str, message: str, x_row=None, stats=None) -> None:
+            """Store the solution of active instance i at x_row, whose
+            (int_p, int_d, pinf, dinf) are stats; by default at its best
+            iterate."""
+            if x_row is None:
+                x_row, stats = st.best_x[i], st.best_stats[i]
+            out[st.index[i]] = self._solution(
+                x_row, stats, status, message, it, sign, objective_const
             )
+
+        def retire(done: list) -> bool:
+            """Drop the active instances in ``done``; True when none is left."""
+            if done:
+                keep = np.ones(len(st.x), dtype=bool)
+                keep[done] = False
+                st.keep(keep)
+            return len(st.x) == 0
 
         for it in range(1, max_iter + 1):
-            rp = b - a @ x
-            rd = c_vec - a.T @ y - z
-            int_p = float(c_vec @ x)
-            int_d = float(b @ y)
-            pinf = np.linalg.norm(rp) / (1.0 + norm_b)
-            dinf = np.sqrt(float(rd @ (weight * rd))) / (1.0 + norm_c)
-            gap_int = abs(int_p - int_d)
-            if not (np.isfinite(int_p) and np.isfinite(int_d) and np.isfinite(pinf)):
-                status = STATUS_NUMERICAL_FAILURE
-                message = "non-finite iterate"
-                if best is not None:
-                    return finish(best)
-                return finish((x.copy(), np.nan, np.nan, pinf, dinf))
-            score = max(pinf / feas_tol, dinf / feas_tol, gap_int / gap_tol)
-            if score < best_score:
-                best_score = score
-                best = (x.copy(), int_p, int_d, pinf, dinf)
-            if pinf <= feas_tol and dinf <= feas_tol and gap_int <= gap_tol:
-                status = STATUS_OPTIMAL
-                return finish((x, int_p, int_d, pinf, dinf))
+            x, z, y, c = st.x, st.z, st.y, st.c
+            st.rp = rp = b - _matvec(a, x)
+            st.rd = rd = c - _matvec(a_t, y) - z
+            all_int_p = _rowdot(c, x).tolist()
+            all_int_d = _rowdot(y, b).tolist()
+            rp_norm = np.sqrt(_rowdot(rp, rp))
+            # The Newton refinement stops once |rp - A dx| <= 1e-15 (1 + |rp|).
+            st.rp_tol = (1e-15 * (1.0 + rp_norm)) ** 2
+            all_pinf = (rp_norm / (1.0 + norm_b)).tolist()
+            all_dinf = (np.sqrt(_rowdot(rd, weight * rd)) / st.dinf_scale).tolist()
+            done = []
+            for i, now in enumerate(zip(all_int_p, all_int_d, all_pinf, all_dinf)):
+                int_p, int_d, pinf, dinf = now
+                if not (
+                    math.isfinite(int_p) and math.isfinite(int_d) and math.isfinite(pinf)
+                ):
+                    message = "non-finite iterate"
+                    if st.best_score[i] < np.inf:
+                        finish(i, STATUS_NUMERICAL_FAILURE, message)
+                    else:
+                        # No best iterate yet: the current one, with its
+                        # objective values unknown.
+                        unknown = (np.nan, np.nan, pinf, dinf)
+                        finish(i, STATUS_NUMERICAL_FAILURE, message, x[i], unknown)
+                    done.append(i)
+                    continue
+                gap_int = abs(int_p - int_d)
+                score = max(pinf / feas_tol, dinf / feas_tol, gap_int / gap_tol)
+                if score < st.best_score[i]:
+                    st.best_score[i] = score
+                    st.best_x[i] = x[i]
+                    st.best_stats[i] = now
+                if pinf <= feas_tol and dinf <= feas_tol and gap_int <= gap_tol:
+                    finish(i, STATUS_OPTIMAL, "", x[i], now)
+                    done.append(i)
+            if retire(done):
+                break
 
-            # Nesterov-Todd scaling per group: the scaled point
-            # lam = W z = W^-T x common to both sides.
-            try:
-                scal = [g.nt(g.seg(x), g.seg(z)) for g in groups]
-            except np.linalg.LinAlgError:
-                status = STATUS_NUMERICAL_FAILURE
+            # Nesterov-Todd scaling per group, the scaled point
+            # lam = W z = W^-T x common to both sides, and the Schur
+            # factors. An instance whose scaling or factorization fails
+            # retires with its best iterate, and the others are scaled
+            # again without it.
+            while True:
+                k = len(st.x)
+                scal = [g.nt(g.seg(st.x), g.seg(st.z)) for g in self.groups]
+                failed = self._flagged(k, [s.bad for s in scal])
                 message = "iterate left the positive cone"
-                return finish(best)
+                if not failed:
+                    # The Newton system reduces to the Schur complement
+                    # A H A^T with H = W^T W. It is factored as R^T R from a
+                    # QR factorization of the scaled rows A W^T: forming H
+                    # or the Schur complement itself would square the
+                    # conditioning of blocks near the boundary, and near a
+                    # degenerate optimum that leaves a primal residual the
+                    # refinement cannot remove.
+                    fac, failed = self._factor_scaled_rows(scal, k)
+                    message = "Schur complement factorization failed"
+                if not failed:
+                    break
+                for i in failed:
+                    finish(i, STATUS_NUMERICAL_FAILURE, message)
+                if retire(failed):
+                    break
+            if len(st.x) == 0:
+                break
 
-            # The Newton system reduces to the Schur complement A H A^T with
-            # H = W^T W. It is factored as R^T R from a QR factorization of
-            # the scaled rows A W^T: forming H or the Schur complement
-            # itself would square the conditioning of blocks near the
-            # boundary, and near a degenerate optimum that leaves a primal
-            # residual the refinement cannot remove.
-            fac = self._factor_scaled_rows(scal)
-            if fac is None:
-                status = STATUS_NUMERICAL_FAILURE
-                message = "Schur complement factorization failed"
-                return finish(best)
-
-            mu = float(x @ z) / k_total
-            w_rd = self._scaled(scal, "w", rd)
-            lam = self._per_group(lambda gi, g: scal[gi].lam)
+            x, z, y, rp, rd, rp_tol = st.x, st.z, st.y, st.rp, st.rd, st.rp_tol
+            mu = _rowdot(x, z) / k_total
+            w_rd = self._scaled(k, scal, "w", rd)
+            lam = self._per_group(k, lambda gi, g: scal[gi].lam)
 
             # Predictor: aim straight at the boundary.
-            dx_a, _, dz_a, dxs_a, dzs_a = self._newton(
-                a, rp, rd, -lam, scal, w_rd, fac
+            dx_a, _, dz_a, dxs_a, dzs_a = self._newton(rp, rd, rp_tol, -lam, scal, w_rd, fac)
+            ap_aff, ad_aff = np.minimum(1.0, self._max_steps(k, scal, dxs_a, dzs_a))
+            mu_aff = _rowdot(x + ap_aff[:, None] * dx_a, z + ad_aff[:, None] * dz_a) / k_total
+            sigma_mu = np.array(
+                [
+                    min(1.0, max(0.0, (max(m_aff, 0.0) / m) ** 3)) * m
+                    for m, m_aff in zip(mu.tolist(), mu_aff.tolist())
+                ]
             )
-            ap_aff = min(1.0, self._max_step(scal, dxs_a))
-            ad_aff = min(1.0, self._max_step(scal, dzs_a))
-            mu_aff = float((x + ap_aff * dx_a) @ (z + ad_aff * dz_a)) / k_total
-            sigma = min(1.0, max(0.0, (max(mu_aff, 0.0) / mu) ** 3))
 
             # Corrector with the Mehrotra second-order term, assembled in the
             # scaled frame where x and z both map to lam. If the corrected
@@ -819,116 +998,215 @@ class PreparedSdp:
             def corrector_direction(with_second_order: bool):
                 def rhs(gi, g):
                     s = scal[gi]
-                    r = sigma * mu * g.z0 - g.jordan(s.lam, s.lam)
+                    target = np.repeat(sigma_mu, len(g.blocks))[:, None] * g.z0
+                    r = target - g.jordan(s.lam, s.lam)
                     if with_second_order:
                         r = r - g.jordan(g.seg(dxs_a), g.seg(dzs_a))
                     return s.solve(r)
 
-                gt = self._per_group(rhs)
-                dx, dy, dz, dxs, dzs = self._newton(a, rp, rd, gt, scal, w_rd, fac)
-                ap = min(1.0, _STEP_FRACTION * self._max_step(scal, dxs))
-                ad = min(1.0, _STEP_FRACTION * self._max_step(scal, dzs))
+                gt = self._per_group(k, rhs)
+                dx, dy, dz, dxs, dzs = self._newton(rp, rd, rp_tol, gt, scal, w_rd, fac)
+                steps = self._max_steps(k, scal, dxs, dzs)
+                ap, ad = np.minimum(1.0, _STEP_FRACTION * steps)
                 return dx, dy, dz, ap, ad
 
             dx, dy, dz, ap, ad = corrector_direction(True)
-            if min(ap, ad) < 0.2:
+            short = [
+                i
+                for i, (p, d) in enumerate(zip(ap.tolist(), ad.tolist()))
+                if min(p, d) < 0.2
+            ]
+            if short:
+                # Computed for every instance, kept where it is the better step.
                 dx2, dy2, dz2, ap2, ad2 = corrector_direction(False)
-                if min(ap2, ad2) > min(ap, ad):
-                    dx, dy, dz, ap, ad = dx2, dy2, dz2, ap2, ad2
+                for i in short:
+                    if min(ap2[i], ad2[i]) > min(ap[i], ad[i]):
+                        dx[i], dy[i], dz[i] = dx2[i], dy2[i], dz2[i]
+                        ap[i], ad[i] = ap2[i], ad2[i]
 
             # Eigenvalue-based step bounds can overshoot at extreme
             # conditioning; halve until the update verifiably stays in the
             # cone rather than letting the next scaling blow up.
-            ap, x = self._backtrack_into_cone(x, dx, ap)
-            ad, z = self._backtrack_into_cone(z, dz, ad)
-            y = y + ad * dy
+            ap, st.x = self._backtrack_into_cone(x, dx, ap)
+            ad, st.z = self._backtrack_into_cone(z, dz, ad)
+            st.y = y + ad[:, None] * dy
 
-            if max(ap, ad) < 1e-8:
-                stall += 1
-                if stall >= 3:
-                    status = STATUS_NUMERICAL_FAILURE
-                    message = "step length collapsed"
-                    return finish(best)
-            else:
-                stall = 0
+            collapsed = []
+            for i, step in enumerate(np.maximum(ap, ad).tolist()):
+                if step >= 1e-8:
+                    st.stall[i] = 0
+                    continue
+                st.stall[i] += 1
+                if st.stall[i] >= 3:
+                    finish(i, STATUS_NUMERICAL_FAILURE, "step length collapsed")
+                    collapsed.append(i)
+            if retire(collapsed):
+                break
 
-        status = STATUS_MAX_ITERATIONS
-        message = f"no convergence in {max_iter} iterations"
-        return finish(best)
+        for i in range(len(st.x)):
+            finish(i, STATUS_MAX_ITERATIONS, f"no convergence in {max_iter} iterations")
+        return out
+
+    def _solution(self, x_row, stats, status, message, iterations, sign, objective_const):
+        """The SdpSolution of a primal iterate in cone coordinates, given its
+        (int_p, int_d, pinf, dinf)."""
+        int_p, int_d, pinf, dinf = (float(v) for v in stats)
+        primal = sign * int_p + objective_const
+        dual = sign * int_d + objective_const
+        block_values = [None] * len(self.dims)
+        for g in self.groups:
+            mats = g.matrices(g.seg(x_row[None]))
+            for pos, j in enumerate(g.blocks):
+                block_values[j] = mats[pos]
+        return SdpSolution(
+            status=status,
+            primal_value=primal,
+            dual_value=dual,
+            gap=abs(primal - dual),
+            primal_infeasibility=pinf,
+            dual_infeasibility=dinf,
+            iterations=iterations,
+            block_values=block_values,
+            message=message,
+        )
 
     # -- numerical pieces -------------------------------------------------
 
-    def _factor_scaled_rows(self, scal):
-        """Q and R of (A W^T)^T = Q R, or None when R is singular."""
+    def _factor_scaled_rows(self, scal, k: int):
+        """Q and R of (A W^T)^T = Q R per instance, and the list of the
+        instances whose R is singular (when not empty, no factors)."""
         m = self.m
         if m == 0:
-            return np.zeros((self.n_cols, 0)), np.zeros((0, 0))
-        parts = [
-            np.matmul(g.a_blocks, s.wt).transpose(0, 2, 1).reshape(-1, m)
-            for g, s in zip(self.groups, scal)
-        ]
-        qr, tau, _, info = scipy.linalg.lapack.dgeqrf(np.concatenate(parts))
-        r = np.triu(qr[:m])
-        singular = not (np.isfinite(r).all() and (np.abs(np.diag(r)) > 1e-300).all())
-        if info != 0 or singular:
-            return None
-        q, _, info = scipy.linalg.lapack.dorgqr(qr[:, :m], tau)
-        if info != 0:
-            return None
-        return q, r
+            return (np.zeros((k, self.n_cols, 0)), np.zeros((k, 0, 0))), []
+        parts = []
+        for g, s in zip(self.groups, scal):
+            d2 = g.dim * g.dim
+            rows = np.matmul(g.a_blocks, s.wt.reshape(k, len(g.blocks), d2, d2))
+            parts.append(rows.transpose(0, 1, 3, 2).reshape(k, -1, m))
+        q, r = _qr(parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1))
+        diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
+        if not ((diag > 1e-300).all() and np.isfinite(r).all()):
+            regular = (diag > 1e-300).all(axis=1) & np.isfinite(r).all(axis=(1, 2))
+            return None, np.flatnonzero(~regular).tolist()
+        return (q, r), []
 
-    def _scaled(self, scal, op: str, vec: np.ndarray) -> np.ndarray:
-        """Apply each group's W (op "w") or W^T (op "w_t") to a flat vector."""
-        return self._per_group(lambda gi, g: getattr(scal[gi], op)(g.seg(vec)))
+    def _scaled(self, k: int, scal, op: str, vecs: np.ndarray) -> np.ndarray:
+        """Apply each group's W (op "w") or W^T (op "w_t") to instance rows."""
+        return self._per_group(k, lambda gi, g: getattr(scal[gi], op)(g.seg(vecs)))
 
-    def _newton(self, a, rp, rd, gt, scal, w_rd, fac):
+    def _newton(self, rp, rd, rp_tol, gt, scal, w_rd, fac):
         """Solve the scaled Newton system
 
             A dx = rp,   A^T dy + dz = rd,   W^-T dx + W dz = gt
 
-        for (dx, dy, dz) given the complementarity right-hand side gt in the
-        scaled frame, and return the scaled directions W^-T dx and W dz too.
+        per instance row for (dx, dy, dz) given the complementarity
+        right-hand side gt in the scaled frame, and return the scaled
+        directions W^-T dx and W dz too.
 
         With Q R = (A W^T)^T, the scaled primal direction is
         gt - W rd + Q R dy. Starting from dy = 0, each pass solves
-        R^T t = rp - A dx and adds Q t to the scaled direction and R^-1 t to
-        dy, so A dx = rp holds to the accuracy of Q rather than of the
-        Schur complement. The first pass is the solve; two more refine it.
-        The dual residual equation holds by construction.
+        R^T t = rp - A dx and adds Q t to the scaled direction, so A dx = rp
+        holds to the accuracy of Q rather than of the Schur complement; dy
+        is R^-1 times the sum of the t. The first pass is the solve; two
+        more refine it.
+        An instance stops refining once its squared residual is at most
+        rp_tol. The dual residual equation holds by construction.
         """
         q, r = fac
+        k = len(rp)
+        # One LAPACK triangular solve per instance: a batch of one costs what
+        # a solver for one objective does, and at the batch sizes of a
+        # see-saw probe the loop costs a few percent of an iteration.
+        trtrs = scipy.linalg.lapack.dtrtrs
         dxs = gt - w_rd
-        dx = self._scaled(scal, "w_t", dxs)
-        dy = np.zeros(self.m)
-        norm_rp = np.linalg.norm(rp)
+        dx = self._scaled(k, scal, "w_t", dxs)
+        going = t_sum = None
         for _ in range(3):
-            e1 = rp - a @ dx
-            if np.linalg.norm(e1) <= 1e-15 * (1.0 + norm_rp):
+            e1 = rp - _matvec(self.a_red, dx)
+            more = _rowdot(e1, e1) > rp_tol
+            going = more if going is None else going & more
+            n_going = np.count_nonzero(going)
+            if n_going == 0:
                 break
-            t, _ = scipy.linalg.lapack.dtrtrs(r, e1, trans=1)
-            dxs = dxs + q @ t
-            dx = self._scaled(scal, "w_t", dxs)
-            dy = dy + scipy.linalg.lapack.dtrtrs(r, t)[0]
-        dz = rd - a.T @ dy
-        return dx, dy, dz, dxs, self._scaled(scal, "w", dz)
+            t = np.empty_like(e1)
+            for i in range(k):
+                t[i] = trtrs(r[i], e1[i], trans=1)[0]
+            if n_going == k:
+                dxs = dxs + _matvec(q, t)
+                t_sum = t if t_sum is None else t_sum + t
+            else:
+                rows = going[:, None]
+                np.add(dxs, _matvec(q, t), out=dxs, where=rows)
+                if t_sum is None:
+                    t_sum = np.where(rows, t, 0.0)
+                else:
+                    np.add(t_sum, t, out=t_sum, where=rows)
+            dx = self._scaled(k, scal, "w_t", dxs)
+        if t_sum is None:
+            dy = np.zeros_like(rp)
+        else:
+            dy = np.empty_like(rp)
+            for i in range(k):
+                dy[i] = trtrs(r[i], t_sum[i])[0]
+        dz = rd - _matvec(self.a_red.T, dy)
+        return dx, dy, dz, dxs, self._scaled(k, scal, "w", dz)
+
+    def _flagged(self, k: int, per_group: list) -> list:
+        """The instances with a flagged block, given one per-block flag
+        array per group."""
+        hit = [flags for flags in per_group if flags.any()]
+        if not hit:
+            return []
+        flagged = np.zeros(k, dtype=bool)
+        for flags in hit:
+            flagged |= flags.reshape(k, -1).any(axis=1)
+        return np.flatnonzero(flagged).tolist()
+
+    def _interior(self, vecs: np.ndarray) -> np.ndarray:
+        """Whether each instance row lies strictly inside every cone."""
+        k = len(vecs)
+        inside = None
+        for g in self.groups:
+            g_inside = g.interior(g.seg(vecs)).reshape(k, -1).all(axis=1)
+            inside = g_inside if inside is None else inside & g_inside
+        return inside
 
     def _backtrack_into_cone(self, state, delta, alpha, tries: int = 6):
-        """Return (alpha, new_state) with new_state strictly inside every
-        cone, halving alpha as needed; alpha 0 keeps the old state."""
-        for _ in range(tries):
-            trial = state + alpha * delta
-            if all(g.interior(g.seg(trial)) for g in self.groups):
-                return alpha, trial
-            alpha *= 0.5
-        return 0.0, state
+        """Return (alpha, new_state) with each instance's row of new_state
+        strictly inside every cone, halving that instance's alpha as
+        needed; alpha 0 keeps its old row."""
+        trial = state + alpha[:, None] * delta
+        if all(g.interior(g.seg(trial)).all() for g in self.groups):
+            return alpha, trial
+        ok = self._interior(trial)
+        alpha = alpha.copy()
+        new = state.copy()
+        pending = np.ones(len(state), dtype=bool)
+        for attempt in range(tries):
+            if attempt:
+                trial = state + alpha[:, None] * delta
+                ok = pending & self._interior(trial)
+            np.copyto(new, trial, where=ok[:, None])
+            pending &= ~ok
+            if not pending.any():
+                return alpha, new
+            alpha = np.where(pending, alpha * 0.5, alpha)
+        alpha[pending] = 0.0
+        return alpha, new
 
-    def _max_step(self, scal, scaled_delta) -> float:
-        """Largest alpha with lam + alpha * scaled_delta still in the cone:
-        the step along a direction given in the scaled frame."""
-        alpha = np.inf
+    def _max_steps(self, k: int, scal, dxs, dzs) -> np.ndarray:
+        """Per instance, the largest alpha with lam + alpha * d still in the
+        cone, for d the scaled primal (row 0) and dual (row 1) directions."""
+        pair = np.empty((2,) + dxs.shape)
+        pair[0] = dxs
+        pair[1] = dzs
+        least = None
         for g, s in zip(self.groups, scal):
-            alpha = min(alpha, s.max_step(g.seg(scaled_delta)))
-        return alpha
+            seg = pair[:, :, g.col_start : g.col_stop].reshape(2, -1, g.dim * g.dim)
+            g_least = s.least_eig(seg).reshape(2, k, -1).min(axis=2)
+            # fmin: a group without an eigenvalue (nan) bounds nothing.
+            least = g_least if least is None else np.fmin(least, g_least)
+        return _steps_from_min_eig(least)
 
 
 def operator_rows(dims, constraints) -> tuple[np.ndarray, np.ndarray]:
@@ -958,8 +1236,10 @@ def solve(
 ) -> SdpSolution:
     """Solve one SdpProblem end to end."""
     prep = PreparedSdp(problem.dims, *operator_rows(problem.dims, problem.constraints))
+    # The objective in the layout of a constraint row.
+    (objective,), _ = operator_rows(problem.dims, [(problem.objective, 0.0)])
     return prep.solve_with(
-        problem.objective,
+        objective,
         objective_const=problem.objective_const,
         maximize=problem.maximize,
         gap_tol=gap_tol,
@@ -968,11 +1248,11 @@ def solve(
     )
 
 
-def _hermitian_hvec(mat) -> np.ndarray:
-    """hvec of the Hermitian part (M + M^H) / 2 of a square matrix: the only
-    part that pairs with the Hermitian basis."""
-    mat = np.asarray(mat, dtype=np.complex128)
-    return hvec(0.5 * (mat + mat.conj().T))
+def hermitian_hvec(mats) -> np.ndarray:
+    """hvec of the Hermitian part (M + M^H) / 2 of square matrices, batched
+    over leading axes: the only part that pairs with the Hermitian basis."""
+    mats = np.asarray(mats, dtype=np.complex128)
+    return hvec(0.5 * (mats + np.swapaxes(mats.conj(), -1, -2)))
 
 
 class ProgramBuilder:
@@ -1004,7 +1284,7 @@ class ProgramBuilder:
                 op = [[op]]
             if np.shape(op) != (dim, dim):
                 raise ValueError("coefficient dimension mismatch")
-            row[0, self._start[j] : self._start[j + 1]] = _hermitian_hvec(op)
+            row[0, self._start[j] : self._start[j + 1]] = hermitian_hvec(op)
         self._rows.append(row)
         self._rhs.append(np.array([float(rhs)]))
 
@@ -1027,7 +1307,7 @@ class ProgramBuilder:
                 mat = coeff.entries if isinstance(coeff, HermitianOperator) else coeff
                 if mat.shape != (dim, dim):
                     raise ValueError("matrix term does not match equation dimension")
-                rows[:, self._start[j]] = _hermitian_hvec(mat)
+                rows[:, self._start[j]] = hermitian_hvec(mat)
             else:
                 if self.dims[j] != dim:
                     raise ValueError(

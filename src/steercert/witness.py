@@ -20,7 +20,7 @@ from scipy.optimize import linprog
 
 from .linalg import HermitianOperator
 from .quantum import PAULIS, MeasurementSet, Povm, check_binary_qubit, noisy_singlet
-from .sdp import STATUS_OPTIMAL, ProgramBuilder
+from .sdp import STATUS_OPTIMAL, ProgramBuilder, hermitian_hvec, hvec
 from .tolerances import DEFAULT_FEAS_TOL, DEFAULT_GAP_TOL
 
 VIOLATION_MARGIN = 1e-8
@@ -73,6 +73,10 @@ class Scenario:
             self._mask = mask
         return self._mask
 
+    def targets(self, preparations) -> np.ndarray:
+        """Target strings of the given (a, x) preparations, shape (k, n)."""
+        return np.array([self.target_string(a, x) for a, x in preparations])
+
     def parity_side(self, r, a: int, x) -> int:
         """Which side of the mixing equivalence for string r the
         preparation (a, x) falls on."""
@@ -108,6 +112,12 @@ def evaluate_witness(scenario: Scenario, stats: Statistics) -> float:
     return float(weight * np.sum(scenario.success_mask * stats.table))
 
 
+def _born_table(a_mats, b_mats, rhot) -> np.ndarray:
+    """p(a, b | x, y) for Alice effects a_mats[a, x], Bob effects b_mats[b, y]
+    and the state rhot reshaped to (dA, dB, dA, dB)."""
+    return np.einsum("axji,bylk,ikjl->abxy", a_mats, b_mats, rhot).real
+
+
 def statistics_from_strategy(
     state: HermitianOperator,
     alice: MeasurementSet,
@@ -128,8 +138,7 @@ def statistics_from_strategy(
     b_mats = np.stack(
         [[bob[y][b].entries for y in range(scenario.n)] for b in (0, 1)]
     )
-    table = np.einsum("axji,bylk,ikjl->abxy", a_mats, b_mats, rhot).real
-    table = np.clip(table, 0.0, 1.0)
+    table = np.clip(_born_table(a_mats, b_mats, rhot), 0.0, 1.0)
     return Statistics(scenario, table)
 
 
@@ -217,6 +226,8 @@ class EnsembleResult:
 
 @lru_cache(maxsize=None)
 def _ensemble_program(n: int, include_nosignaling: bool):
+    """The ensemble program, a block per preparation in the scenario's
+    order, and the target strings of those preparations."""
     scenario = Scenario(n)
     preps = scenario.preparations
     n_x = len(scenario.x_strings)
@@ -234,7 +245,7 @@ def _ensemble_program(n: int, include_nosignaling: bool):
         for xi in range(1, n_x):
             terms = {xi: 1.0, n_x + xi: 1.0, 0: -1.0, n_x: -1.0}
             builder.add_operator_equation(terms, zero)
-    return scenario, builder.prepared()
+    return scenario, builder.prepared(), scenario.targets(preps)
 
 
 def optimize_ensemble(
@@ -258,25 +269,18 @@ def optimize_ensemble(
     if bob.n != scenario.n:
         raise ValueError("measurement count does not match the scenario")
     check_binary_qubit(bob)
-    cached_scenario, prepared = _ensemble_program(
+    cached_scenario, prepared, targets = _ensemble_program(
         scenario.n, bool(include_nosignaling)
     )
-    preps = cached_scenario.preparations
     weight = 1.0 / (scenario.n * len(cached_scenario.x_strings))
-    objective = []
-    for a, x in preps:
-        t = cached_scenario.target_string(a, x)
-        coeff = sum(
-            bob[yi][t[yi]].entries for yi in range(scenario.n)
-        )
-        objective.append(HermitianOperator(weight * coeff))
+    effects = np.array([[e.entries for e in povm.effects] for povm in bob.settings])
+    # Preparation (a, x) scores sum_y B_{t_y|y} with target t = t(a, x);
+    # the sum runs over y in order.
+    coeffs = weight * effects[np.arange(scenario.n), targets].sum(axis=1)
     sol = prepared.solve_with(
-        objective, maximize=True, gap_tol=gap_tol, feas_tol=feas_tol
+        hvec(coeffs).ravel(), maximize=True, gap_tol=gap_tol, feas_tol=feas_tol
     )
-    states = tuple(
-        bv if bv is not None else HermitianOperator.zeros(2)
-        for bv in sol.block_values
-    )
+    states = tuple(HermitianOperator(bv) for bv in sol.block_values)
     return EnsembleResult(
         value=sol.primal_value,
         dual_value=sol.dual_value,
@@ -317,6 +321,10 @@ class SeesawResult:
 
 @lru_cache(maxsize=None)
 def _alice_program(n: int):
+    """The Alice effect program, blocks 2 x + a for effect a of setting x,
+    and select, which marks with select[2 y + b, 2 x + a] = 1 that bit y of
+    the target t(a, x) is b: the Alice effects Bob's effect b of setting y
+    wins with."""
     scenario = Scenario(n)
     n_x = len(scenario.x_strings)
     builder = ProgramBuilder([2] * (2 * n_x))
@@ -332,71 +340,60 @@ def _alice_program(n: int):
                     1.0 if scenario.parity_side(r, a, x) == 0 else -1.0
                 )
         builder.add_operator_equation(terms, zero)
-    return scenario, builder.prepared()
+    targets = scenario.targets(
+        [(a, x) for x in scenario.x_strings for a in (0, 1)]
+    )
+    select = (targets.T[:, None, :] == np.arange(2)[:, None]).reshape(2 * n, -1)
+    return scenario, builder.prepared(), select.astype(float)
 
 
-def _partial_trace_second_with(rhot: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    return np.einsum("imjk,km->ij", rhot, mat)
+# The see-saw works on stacks of strategies: Alice effects (k, 2 n_x, 2, 2)
+# in block order 2 x + a, Bob effects (k, n, 2, 2, 2) indexed [y, b]. Each
+# product below is one matmul per strategy, so a strategy's numbers do not
+# depend on the rest of its stack.
 
 
-def _partial_trace_first_with(rhot: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    return np.einsum("im,mkil->kl", mat, rhot)
-
-
-def _strategy_value(alice_mats, bob_mats, rhot, scenario: Scenario) -> float:
+def _strategy_value(alice, bob, rhot, scenario: Scenario) -> float:
     n_x = len(scenario.x_strings)
-    a_arr = np.stack(
-        [[alice_mats[2 * xi + a] for xi in range(n_x)] for a in (0, 1)]
-    )
-    b_arr = np.stack(
-        [[bob_mats[yi][b] for yi in range(scenario.n)] for b in (0, 1)]
-    )
-    table = np.einsum("axji,bylk,ikjl->abxy", a_arr, b_arr, rhot).real
+    a_arr = alice.reshape(n_x, 2, 2, 2).swapaxes(0, 1)
+    table = _born_table(a_arr, bob.swapaxes(0, 1), rhot)
     weight = 1.0 / (scenario.n * n_x)
     return float(weight * np.sum(scenario.success_mask * table))
 
 
-def _bob_step(alice_mats, rhot, scenario: Scenario):
-    """Optimal Bob effects for fixed Alice: per setting, project onto the
-    nonnegative eigenspace of the effect-weighted reduced-state difference.
-    Ties at zero go to the larger effect."""
-    n_x = len(scenario.x_strings)
-    weight = 1.0 / (scenario.n * n_x)
-    ident = np.eye(2, dtype=np.complex128)
-    bob = []
-    value = 0.0
-    for yi in range(scenario.n):
-        sums = [np.zeros((2, 2), dtype=np.complex128) for _ in (0, 1)]
-        for xi, x in enumerate(scenario.x_strings):
-            for a in (0, 1):
-                b_win = scenario.winning_outcome(a, x, yi + 1)
-                sums[b_win] += alice_mats[2 * xi + a]
-        l0 = weight * _partial_trace_first_with(rhot, sums[0])
-        l1 = weight * _partial_trace_first_with(rhot, sums[1])
-        delta = 0.5 * ((l0 - l1) + (l0 - l1).conj().T)
-        vals, vecs = np.linalg.eigh(delta)
-        keep = vecs[:, vals >= 0.0]
-        b0 = keep @ keep.conj().T
-        b1 = ident - b0
-        bob.append((b0, b1))
-        value += float((np.sum(b0.conj() * l0) + np.sum(b1.conj() * l1)).real)
-    return bob, value
+def _bob_step(alice, rhot, scenario: Scenario, select):
+    """Optimal Bob effects for a stack of Alice strategies: per setting,
+    project onto the nonnegative eigenspace of the effect-weighted
+    reduced-state difference. Ties at zero go to the larger effect.
+    Returns the Bob effects and the values (k,)."""
+    k = len(alice)
+    n = scenario.n
+    weight = 1.0 / (n * len(scenario.x_strings))
+    # Tr_A[(A x I) rho] as a map on flattened 2x2 matrices.
+    to_bob = rhot.transpose(1, 3, 2, 0).reshape(4, 4)
+    reduced = np.matmul(alice.reshape(k, -1, 4), to_bob.T)
+    l_mats = weight * np.matmul(select, reduced).reshape(k, n, 2, 2, 2)
+    delta = l_mats[:, :, 0] - l_mats[:, :, 1]
+    delta = 0.5 * (delta + np.swapaxes(delta.conj(), -1, -2))
+    vals, vecs = np.linalg.eigh(delta)
+    b0 = (vecs * (vals >= 0.0)[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
+    bob = np.stack([b0, np.eye(2) - b0], axis=2)
+    per_setting = (
+        (b0.conj() * l_mats[:, :, 0]).sum(axis=(-2, -1))
+        + (bob[:, :, 1].conj() * l_mats[:, :, 1]).sum(axis=(-2, -1))
+    ).real
+    return bob, per_setting.sum(axis=1)
 
 
-def _alice_objective(bob_mats, rhot, scenario: Scenario):
-    n_x = len(scenario.x_strings)
-    weight = 1.0 / (scenario.n * n_x)
-    reduced = [
-        [_partial_trace_second_with(rhot, bob_mats[yi][b]) for b in (0, 1)]
-        for yi in range(scenario.n)
-    ]
-    objective = [None] * (2 * n_x)
-    for xi, x in enumerate(scenario.x_strings):
-        for a in (0, 1):
-            t = scenario.target_string(a, x)
-            coeff = sum(reduced[yi][t[yi]] for yi in range(scenario.n))
-            objective[2 * xi + a] = HermitianOperator(weight * coeff)
-    return objective
+def _alice_objective(bob, rhot, scenario: Scenario, select) -> np.ndarray:
+    """Objective rows of the Alice program for a stack of Bob strategies."""
+    k = len(bob)
+    weight = 1.0 / (scenario.n * len(scenario.x_strings))
+    # Tr_B[rho (I x B)] as a map on flattened 2x2 matrices.
+    to_alice = rhot.transpose(0, 2, 3, 1).reshape(4, 4)
+    reduced = np.matmul(bob.reshape(k, -1, 4), to_alice.T)
+    coeffs = weight * np.matmul(select.T, reduced)
+    return hermitian_hvec(coeffs.reshape(k, -1, 2, 2)).reshape(k, -1)
 
 
 def _random_sharp_alice(rng, n_x: int):
@@ -415,56 +412,65 @@ def _random_sharp_alice(rng, n_x: int):
 
 
 def _alternate(
-    prepared,
+    solve,
     scenario: Scenario,
     rhot,
-    alice_mats,
-    gap_tol: float,
-    feas_tol: float,
+    select,
+    alice,
     max_rounds: int = SEESAW_MAX_ROUNDS,
-    log: list | None = None,
-):
-    """Alternate closed-form Bob updates with Alice effect SDPs until the
-    value stops improving. Returns (value, alice, bob, ok). When a list is
-    passed as log, every intermediate value (Bob step and Alice step in
-    order) is appended to it."""
-    prev = -np.inf
-    bob = None
+) -> list:
+    """Alternate closed-form Bob updates with Alice effect SDPs, side by side
+    for a stack of starting Alice strategies, each until its own value stops
+    improving; a start leaves the stack when its alternation ends. ``solve``
+    maps the Alice objective rows of the starts still on the stack to their
+    SdpSolutions.
+
+    Returns one (value, alice, bob, ok, log) per start. ok is False when a
+    step lost value or an Alice solve fell short of Optimal; log lists every
+    intermediate value, Bob step and Alice step in order."""
+    alice = np.array(alice, dtype=np.complex128)
+    k = len(alice)
+    prev = np.full(k, -np.inf)
+    logs: list = [[] for _ in range(k)]
+    results: list = [None] * k
+    live = np.arange(k)
+    settled: list = []
     for _ in range(max_rounds):
-        bob, val_b = _bob_step(alice_mats, rhot, scenario)
-        if log is not None:
-            log.append(val_b)
-        if val_b < prev - 1e-8:
-            return val_b, alice_mats, bob, False
-        objective = _alice_objective(bob, rhot, scenario)
-        sol = prepared.solve_with(
-            objective, maximize=True, gap_tol=gap_tol, feas_tol=feas_tol
-        )
-        if sol.status != STATUS_OPTIMAL:
-            return val_b, alice_mats, bob, False
-        if sol.primal_value < val_b - 1e-8:
-            return val_b, alice_mats, bob, False
-        alice_mats = [bv.entries for bv in sol.block_values]
-        if log is not None:
-            log.append(sol.primal_value)
-        if sol.primal_value - prev < SEESAW_IMPROVEMENT_TOL:
-            prev = sol.primal_value
+        if not live.size:
             break
-        prev = sol.primal_value
-    bob, value = _bob_step(alice_mats, rhot, scenario)
-    if log is not None:
-        log.append(value)
-    return value, alice_mats, bob, True
-
-
-def _repair_alice(prepared, raw_mats, gap_tol, feas_tol):
-    objective = [HermitianOperator(m) for m in raw_mats]
-    sol = prepared.solve_with(
-        objective, maximize=True, gap_tol=gap_tol, feas_tol=feas_tol
-    )
-    if sol.status != STATUS_OPTIMAL:
-        return None
-    return [bv.entries for bv in sol.block_values]
+        bob, val_b = _bob_step(alice[live], rhot, scenario, select)
+        for i, val in zip(live, val_b):
+            logs[i].append(float(val))
+        lost = val_b < prev[live] - 1e-8
+        go = np.flatnonzero(~lost)
+        sols = solve(_alice_objective(bob[go], rhot, scenario, select)) if go.size else []
+        sol_of = dict(zip(go, sols))
+        still = []
+        for j, i in enumerate(live):
+            sol = sol_of.get(j)
+            if (
+                sol is None
+                or sol.status != STATUS_OPTIMAL
+                or sol.primal_value < val_b[j] - 1e-8
+            ):
+                results[i] = (float(val_b[j]), alice[i].copy(), bob[j], False, logs[i])
+                continue
+            alice[i] = sol.block_values
+            logs[i].append(sol.primal_value)
+            if sol.primal_value - prev[i] < SEESAW_IMPROVEMENT_TOL:
+                settled.append(i)
+            else:
+                still.append(i)
+            prev[i] = sol.primal_value
+        live = np.array(still, dtype=int)
+    # Converged, or out of rounds: one last Bob step.
+    done = np.array(settled + list(live), dtype=int)
+    if done.size:
+        bob, value = _bob_step(alice[done], rhot, scenario, select)
+        for j, i in enumerate(done):
+            logs[i].append(float(value[j]))
+            results[i] = (float(value[j]), alice[i].copy(), bob[j], True, logs[i])
+    return results
 
 
 def seesaw_critical_visibility(
@@ -480,14 +486,23 @@ def seesaw_critical_visibility(
     """Bisect the noisy-singlet visibility for the smallest value at which
     the see-saw still finds a quantum violation of the classical bound.
 
-    Each probe refines previously discovered strategies (their constraints
-    do not depend on the visibility) and adds random restarts, stopping
-    early once a violation is exhibited. The returned trace re-evaluates
-    the final strategy pool at every probed visibility, so it is
-    nondecreasing in v by construction. The threshold is the upper end of
-    the final bracket: a visibility with a confirmed violation. Every
-    completed alternation run contributes its per-iteration value sequence
-    to iteration_logs; runs abandoned on solver failure are discarded.
+    Each probe first evaluates the pool of previously discovered strategies
+    (their constraints do not depend on the visibility) and refines the
+    best of them, then tries random restarts, stopping at the first
+    violation. The restarts of a probe run side by side: all of its raw
+    Alice strategies are drawn, repaired in one batched solve and
+    alternated in lockstep, and the results are then taken in restart
+    order. At a violation in restart i the later results are dropped and
+    the generator is set back to its state after draw i, so the restarts
+    used, the iteration logs, the pool and the random stream are those of
+    running the restarts one after another.
+
+    The returned trace re-evaluates the final strategy pool at every probed
+    visibility, so it is nondecreasing in v by construction. The threshold
+    is the upper end of the final bracket: a visibility with a confirmed
+    violation. Every completed alternation run contributes its
+    per-iteration value sequence to iteration_logs; runs abandoned on
+    solver failure are discarded.
     """
     if not 2 <= n <= 7:
         raise ValueError("supported range is 2 <= n <= 7")
@@ -495,7 +510,7 @@ def seesaw_critical_visibility(
         restarts = 20 if n <= 4 else 50
     if rng is None:
         rng = np.random.default_rng(0)
-    scenario, prepared = _alice_program(n)
+    scenario, prepared, select = _alice_program(n)
     n_x = len(scenario.x_strings)
     bound = noncontextual_bound(n)
     pool: list = []
@@ -503,11 +518,24 @@ def seesaw_critical_visibility(
     logs: list = []
     used = 0
 
+    def solve_one(objectives) -> list:
+        (objective,) = objectives
+        return [
+            prepared.solve_with(
+                objective, maximize=True, gap_tol=gap_tol, feas_tol=feas_tol
+            )
+        ]
+
+    def solve_stack(objectives) -> list:
+        return prepared.solve_batch(
+            objectives, maximize=True, gap_tol=gap_tol, feas_tol=feas_tol
+        )
+
     def rhot_at(v: float) -> np.ndarray:
         return noisy_singlet(v).entries.reshape(2, 2, 2, 2)
 
     def add_to_pool(alice, bob, value) -> None:
-        pool.append((tuple(alice), tuple(bob), value))
+        pool.append((alice, bob, value))
         pool.sort(key=lambda s: -s[2])
         del pool[4:]
 
@@ -520,21 +548,15 @@ def seesaw_critical_visibility(
             val = _strategy_value(alice, bob, rhot, scenario)
             if val > best_val:
                 best_val = val
-                best_pool = (alice, bob)
+                best_pool = alice
         probed.append(v)
         if best_val > bound + VIOLATION_MARGIN:
             return True
         if best_pool is not None:
+            # Refined alone and first: it ends many probes.
             used += 1
-            run_log: list = []
-            val, alice, bob, ok = _alternate(
-                prepared,
-                scenario,
-                rhot,
-                list(best_pool[0]),
-                gap_tol,
-                feas_tol,
-                log=run_log,
+            ((val, alice, bob, ok, run_log),) = _alternate(
+                solve_one, scenario, rhot, select, best_pool[None]
             )
             if ok:
                 logs.append(tuple(run_log))
@@ -543,17 +565,28 @@ def seesaw_critical_visibility(
                     add_to_pool(alice, bob, val)
             if best_val > bound + VIOLATION_MARGIN:
                 return True
+        raw, states = [], []
         for _ in range(budget):
+            raw.append(_random_sharp_alice(rng, n_x))
+            states.append(rng.bit_generator.state)
+        repairs = prepared.solve_batch(
+            hvec(np.array(raw)).reshape(budget, -1),
+            maximize=True,
+            gap_tol=gap_tol,
+            feas_tol=feas_tol,
+        )
+        repaired = [i for i, sol in enumerate(repairs) if sol.status == STATUS_OPTIMAL]
+        starts = np.array([repairs[i].block_values for i in repaired]).reshape(
+            len(repaired), 2 * n_x, 2, 2
+        )
+        run_of = dict(
+            zip(repaired, _alternate(solve_stack, scenario, rhot, select, starts))
+        )
+        for i in range(budget):
             used += 1
-            raw = _random_sharp_alice(rng, n_x)
-            repaired = _repair_alice(prepared, raw, gap_tol, feas_tol)
-            if repaired is None:
+            if i not in run_of:
                 continue
-            run_log = []
-            val, alice, bob, ok = _alternate(
-                prepared, scenario, rhot, repaired, gap_tol, feas_tol,
-                log=run_log,
-            )
+            val, alice, bob, ok, run_log = run_of[i]
             if not ok:
                 continue
             logs.append(tuple(run_log))
@@ -561,6 +594,7 @@ def seesaw_critical_visibility(
                 best_val = val
                 add_to_pool(alice, bob, val)
             if best_val > bound + VIOLATION_MARGIN:
+                rng.bit_generator.state = states[i]
                 return True
         return False
 

@@ -121,6 +121,13 @@ _NINE_SETTINGS = [[0.0, 0.0, 1.0, 1.0, 1.0]] * 9
         ("steer-check", {"assemblage": [[_HALF_IDENTITY], [_HALF_IDENTITY] * 2]}),
         ("jm-check", {"effects": []}),
         ("witness-opt", {"effects": []}),
+        # Malformed flags and config values; the JSON file is the --config.
+        ("vn-table --n 2,x", None),
+        ("conj1 --n abc --samples 0", None),
+        ("conj1 --samples 0 --config", {"restarts": "x"}),
+        ("conj1 --samples 0 --config", {"gap_tol": "x"}),
+        ("conj1 --samples 0 --config", {"threads": None}),
+        ("conj1 --samples 0 --config", {"n": [3]}),
         # Input that loads but that the certifiers reject.
         ("steer-check", {"assemblage": [[_HALF_IDENTITY]]}),
         (
@@ -141,6 +148,12 @@ _NINE_SETTINGS = [[0.0, 0.0, 1.0, 1.0, 1.0]] * 9
         "ragged",
         "jm-no-effects",
         "witness-no-effects",
+        "vn-table-n-not-int",
+        "conj1-n-not-int",
+        "config-restarts-not-int",
+        "config-gap-tol-not-number",
+        "config-threads-null",
+        "config-conj1-n-list",
         "one-outcome",
         "qubit-state",
         "jm-nine-settings",
@@ -150,9 +163,12 @@ _NINE_SETTINGS = [[0.0, 0.0, 1.0, 1.0, 1.0]] * 9
     ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, command, data):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(data))
-    code = main([command, str(path)])
+    argv = command.split()
+    if data is not None:
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        argv.append(str(path))
+    code = main(argv)
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:")

@@ -153,7 +153,7 @@ def test_fully_constrained_scalar():
     sol = solve(problem)
     assert sol.status == STATUS_OPTIMAL
     assert sol.primal_value == pytest.approx(0.3, abs=1e-8)
-    assert sol.block_values[0].entries[0, 0].real == pytest.approx(0.3, abs=1e-8)
+    assert sol.block_values[0][0, 0].real == pytest.approx(0.3, abs=1e-8)
 
 
 def test_diagonal_lp_matches_linprog():
@@ -234,12 +234,12 @@ def test_random_problems_weak_duality_and_feasibility():
             assert sol.primal_value >= sol.dual_value - 1e-7
         assert sol.gap <= 1e-8
         assert sol.primal_infeasibility <= 1e-7
-        for op in sol.block_values:
-            assert min_eigenvalue(op) >= -1e-8
+        for block in sol.block_values:
+            assert min_eigenvalue(HermitianOperator(block)) >= -1e-8
         # residual of every original constraint, including redundant ones
         for coeffs, rhs in problem.constraints:
             val = sum(
-                float(np.sum(c.entries.conj() * sol.block_values[j].entries).real)
+                float(np.sum(c.entries.conj() * sol.block_values[j]).real)
                 for j, c in enumerate(coeffs)
                 if c is not None
             )
@@ -256,7 +256,7 @@ def test_bit_for_bit_determinism():
     assert first.dual_value == second.dual_value
     assert first.iterations == second.iterations
     for a, b in zip(first.block_values, second.block_values):
-        assert np.array_equal(a.entries, b.entries)
+        assert np.array_equal(a, b)
 
 
 def test_inconsistent_rows_fail():
@@ -294,6 +294,13 @@ def test_max_iterations_status():
     assert sol.status == STATUS_MAX_ITERATIONS
 
 
+def _objective(dims, coeffs):
+    """An SdpProblem-style objective, one operator or None per block, in
+    the hvec layout that solve_with takes."""
+    (objective,), _ = operator_rows(dims, [(coeffs, 0.0)])
+    return objective
+
+
 def test_prepared_reuse_matches_fresh_solve():
     dim = 3
     rng = np.random.default_rng(0)
@@ -304,7 +311,7 @@ def test_prepared_reuse_matches_fresh_solve():
         fresh = solve(
             SdpProblem(dims=(dim,), objective=[c], constraints=constraints)
         )
-        reused = prep.solve_with([c])
+        reused = prep.solve_with(_objective((dim,), [c]))
         assert reused.primal_value == fresh.primal_value
         assert reused.iterations == fresh.iterations
 
@@ -322,7 +329,7 @@ def _povm_program(n_blocks):
     objective = [
         HermitianOperator(random_hermitian(rng, 3)) for _ in range(n_blocks)
     ]
-    return builder.prepared(), objective
+    return builder.prepared(), _objective(builder.dims, objective)
 
 
 def _solution_bytes(sol):
@@ -330,7 +337,7 @@ def _solution_bytes(sol):
         sol.iterations,
         sol.primal_value,
         sol.dual_value,
-        [op.entries.tobytes() for op in sol.block_values],
+        [block.tobytes() for block in sol.block_values],
     )
 
 
@@ -446,6 +453,12 @@ def test_hermitian_scaling_identities():
     assert _rel(group.jordan(s.lam, s.solve(r)), r) < 1e-12
 
 
+def _max_step(scaling, delta):
+    """Largest step along the scaled direction delta over all blocks."""
+    least = scaling.least_eig(delta).min(keepdims=True)
+    return sdp._steps_from_min_eig(least)[0]
+
+
 def test_orthant_scaling_identities():
     rng = np.random.default_rng(3)
     x = rng.uniform(1e-6, 2.0, size=(9, 1))
@@ -459,7 +472,7 @@ def test_orthant_scaling_identities():
     assert _rel(s.lam * s.solve(r), r) < 1e-12
     delta = rng.normal(size=x.shape)
     want = min(-s.lam[i, 0] / delta[i, 0] for i in range(9) if delta[i, 0] < 0)
-    assert s.max_step(delta) == pytest.approx(want, rel=1e-12)
+    assert _max_step(s, delta) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -475,7 +488,7 @@ def test_lorentz_step_length_matches_eigvalsh(seed):
         if trial == 0:
             dxm = _random_pd(rng, n)  # never leaves the cone
         scaled = np.linalg.solve(s.wt, _lorentz_primal(dxm)[..., None])[..., 0]
-        got = s.max_step(scaled)
+        got = _max_step(s, scaled)
         want = np.inf
         for xb, db in zip(xm, dxm):
             evals, evecs = np.linalg.eigh(xb)
@@ -542,7 +555,7 @@ def test_program_without_equalities():
         HermitianOperator.identity(2),
         HermitianOperator.identity(3),
     ]
-    sol = prep.solve_with(objective, maximize=False)
+    sol = prep.solve_with(_objective((1, 2, 3), objective), maximize=False)
     assert sol.status == STATUS_OPTIMAL
     assert sol.primal_value == pytest.approx(0.0, abs=1e-8)
 
@@ -552,10 +565,10 @@ def test_builder_operator_equation():
     ident = HermitianOperator.identity(2)
     builder.add_operator_equation({0: 1.0, 1: 1.0}, ident)
     objective = [HermitianOperator([[1.0, 0.0], [0.0, 0.0]]), None]
-    sol = builder.prepared().solve_with(objective)
+    sol = builder.prepared().solve_with(_objective(builder.dims, objective))
     assert sol.status == STATUS_OPTIMAL
     assert sol.primal_value == pytest.approx(1.0, abs=1e-7)
-    total = sol.block_values[0] + sol.block_values[1]
+    total = HermitianOperator(sol.block_values[0] + sol.block_values[1])
     assert total.allclose(ident, tol=1e-6)
 
 
@@ -565,7 +578,9 @@ def test_builder_matrix_term_on_scalar_block():
     target = HermitianOperator([[1.0, 0.0], [0.0, 2.0]])
     builder.add_operator_equation({0: 1.0, 1: -1.0 * target}, HermitianOperator.zeros(2))
     builder.add_scalar_row({0: HermitianOperator.identity(2)}, 1.0)
-    sol = builder.prepared().solve_with([None, HermitianOperator([[1.0]])])
+    sol = builder.prepared().solve_with(
+        _objective(builder.dims, [None, HermitianOperator([[1.0]])])
+    )
     assert sol.status == STATUS_OPTIMAL
     assert sol.primal_value == pytest.approx(1.0 / 3.0, abs=1e-7)
 
@@ -573,7 +588,9 @@ def test_builder_matrix_term_on_scalar_block():
 def test_builder_scalar_equation():
     builder = ProgramBuilder([1, 1])
     builder.add_operator_equation({0: 1.0, 1: 1.0}, 1.0)
-    sol = builder.prepared().solve_with([HermitianOperator([[1.0]]), None])
+    sol = builder.prepared().solve_with(
+        _objective(builder.dims, [HermitianOperator([[1.0]]), None])
+    )
     assert sol.status == STATUS_OPTIMAL
     assert sol.primal_value == pytest.approx(1.0, abs=1e-7)
 
@@ -711,3 +728,78 @@ def test_prepared_gathers_block_columns_by_dimension():
         cols = slice(g.col_start + pos * d2, g.col_start + (pos + 1) * d2)
         expected = g.dual_coords(a[:, start[j] : start[j + 1]])
         assert np.array_equal(prep.a_red[:, cols], expected)
+
+
+def _solution_key(sol):
+    """Every field of a solution, floats and blocks as bytes (NaN-safe)."""
+    floats = [
+        sol.primal_value,
+        sol.dual_value,
+        sol.gap,
+        sol.primal_infeasibility,
+        sol.dual_infeasibility,
+    ]
+    return (
+        sol.status,
+        sol.message,
+        sol.iterations,
+        np.array(floats).tobytes(),
+        [block.tobytes() for block in sol.block_values],
+    )
+
+
+def _batch_program(name):
+    from steercert import witness
+
+    if name == "alice2":
+        return witness._alice_program(2)[1]
+    if name == "alice3":
+        return witness._alice_program(3)[1]
+    if name == "ensemble3":
+        return witness._ensemble_program(3, True)[1]
+    _RecordingBuilder.built = []
+    return _mixed_builder().prepared()
+
+
+@pytest.mark.parametrize("name", ["alice2", "alice3", "ensemble3", "mixed"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_batch_instances_match_their_batch_of_one(name):
+    """Each instance of a batch is bit for bit its own batch of one,
+    whatever else the batch holds and in whatever order. The mixed program
+    is unbounded for most objectives, so its instances also stop on
+    NumericalFailure and MaxIterations, at different iterations."""
+    prep = _batch_program(name)
+    rng = np.random.default_rng(len(name))
+    objectives = rng.normal(size=(6, prep.n_cols))
+    for maximize in (True, False):
+        alone = [
+            _solution_key(prep.solve_with(c, maximize=maximize)) for c in objectives
+        ]
+        assert len({key[2] for key in alone}) > 1
+        batch = prep.solve_batch(objectives, maximize=maximize)
+        assert [_solution_key(sol) for sol in batch] == alone
+        batch = prep.solve_batch(objectives[::-1], maximize=maximize)[::-1]
+        assert [_solution_key(sol) for sol in batch] == alone
+        pair = prep.solve_batch(objectives[2:4], maximize=maximize)
+        assert [_solution_key(sol) for sol in pair] == alone[2:4]
+    if name == "mixed":
+        assert STATUS_NUMERICAL_FAILURE in {key[0] for key in alone}
+    # A cap between the fastest and the slowest instance stops some early.
+    cap = sorted(key[2] for key in alone)[2]
+    capped = [_solution_key(prep.solve_with(c, max_iter=cap)) for c in objectives]
+    assert STATUS_MAX_ITERATIONS in {key[0] for key in capped}
+    batch = prep.solve_batch(objectives, max_iter=cap)
+    assert [_solution_key(sol) for sol in batch] == capped
+
+
+def test_batch_input_checks():
+    prep = _batch_program("alice2")
+    assert prep.solve_batch(np.zeros((0, prep.n_cols))) == []
+    with pytest.raises(ValueError, match="hvec"):
+        prep.solve_batch(np.zeros(prep.n_cols))
+    with pytest.raises(ValueError, match="hvec"):
+        prep.solve_with(np.zeros(prep.n_cols + 1))
+    bad = np.zeros((2, prep.n_cols))
+    bad[1, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        prep.solve_batch(bad)

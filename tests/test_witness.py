@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from steercert import witness
 from steercert.quantum import (
     MeasurementSet,
     noisy_singlet,
     sharp_povm,
     trivial_povm,
 )
+from steercert.sdp import STATUS_OPTIMAL, hvec
 from steercert.witness import (
     Scenario,
     Statistics,
@@ -241,3 +243,78 @@ def test_seesaw_rejects_unsupported_n():
         seesaw_critical_visibility(1)
     with pytest.raises(ValueError):
         seesaw_critical_visibility(8)
+
+
+def _fresh_state_after(seed, n, draws):
+    """Generator state after ``draws`` random Alice strategies for n settings."""
+    rng = np.random.default_rng(seed)
+    for _ in range(draws):
+        witness._random_sharp_alice(rng, 2 ** (n - 1))
+    return rng.bit_generator.state
+
+
+def _sequential_first_probe(n, v, seed, budget):
+    """A first probe (empty pool) with its restarts run one after another,
+    each through one-objective solves. Returns the restarts used, the
+    iteration logs and the generator state."""
+    scenario, prepared, select = witness._alice_program(n)
+    rng = np.random.default_rng(seed)
+    rhot = noisy_singlet(v).entries.reshape(2, 2, 2, 2)
+    bound = noncontextual_bound(n)
+
+    def solve_one(objectives):
+        return [prepared.solve_with(objectives[0])]
+
+    logs = []
+    for used in range(1, budget + 1):
+        raw = witness._random_sharp_alice(rng, len(scenario.x_strings))
+        sol = prepared.solve_with(hvec(np.array(raw)).ravel())
+        if sol.status != STATUS_OPTIMAL:
+            continue
+        start = np.array(sol.block_values)[None]
+        ((val, _, _, ok, log),) = witness._alternate(
+            solve_one, scenario, rhot, select, start
+        )
+        if not ok:
+            continue
+        logs.append(tuple(log))
+        if val > bound + witness.VIOLATION_MARGIN:
+            return used, logs, rng.bit_generator.state
+    return budget, logs, rng.bit_generator.state
+
+
+@pytest.mark.parametrize("n, v, seed", [(2, 0.72, 0), (3, 0.58, 1), (4, 0.556, 2)])
+def test_seesaw_probe_replays_a_sequential_run(n, v, seed):
+    """Restarts run side by side, yet the probe uses the restarts, logs and
+    random draws of running them one after another: after a violation at
+    restart i the generator is that of a fresh one that drew i + 1
+    strategies. With v_lo = v_hi = v the second probe ends on the pool, so
+    the run is this one probe."""
+    used, logs, state = _sequential_first_probe(n, v, seed, budget=20)
+    rng = np.random.default_rng(seed)
+    res = seesaw_critical_visibility(n, rng=rng, v_lo=v, v_hi=v)
+    assert res.restarts_used == used
+    assert res.iteration_logs == tuple(logs)
+    assert rng.bit_generator.state == state == _fresh_state_after(seed, n, used)
+
+
+def test_seesaw_probe_without_violation_keeps_every_draw():
+    rng = np.random.default_rng(5)
+    with pytest.raises(RuntimeError, match="no violation"):
+        seesaw_critical_visibility(2, restarts=6, rng=rng, v_lo=0.6, v_hi=0.6)
+    assert rng.bit_generator.state == _fresh_state_after(5, 2, 6)
+
+
+@pytest.mark.parametrize(
+    "n, v_threshold, lo, used",
+    [
+        (2, 0.707177734375, 0.70703125, 53),
+        (3, 0.577392578125, 0.5772460937499999, 68),
+    ],
+)
+@pytest.mark.parametrize("seed", range(4))
+def test_seesaw_threshold_is_pinned(n, v_threshold, lo, used, seed):
+    res = seesaw_critical_visibility(n, rng=np.random.default_rng(seed))
+    assert res.v_threshold == v_threshold
+    assert res.bracket == (lo, v_threshold)
+    assert res.restarts_used == used
