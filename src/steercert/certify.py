@@ -1,11 +1,11 @@
 """Certified critical visibilities for joint measurability and for local
 hidden-state models, plus a closed form for unbiased qubit pairs.
 
-Both programs maximize the visibility v at which the depolarized target
-(measurement set or assemblage) still admits the classical parent structure,
-capped at 1. A verdict is only issued when the solver converged; the
-compatibility side additionally requires the optimum to clear 1 by the
-verdict margin.
+Both certificates solve one parent-search program, which maximizes the
+visibility v at which the depolarized target (measurement set or
+assemblage) still admits the classical parent structure, capped at 1. A
+verdict is only issued when the solver converged; the compatibility side
+additionally requires the optimum to clear 1 by the verdict margin.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ KIND_JOINT_MEASURABILITY = "JointMeasurability"
 KIND_LOCAL_HIDDEN_STATE = "LocalHiddenState"
 
 MAX_SETTINGS = 8
+
+_HALF = 0.5 * np.eye(2, dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -52,14 +54,6 @@ class CertificationReport:
         )
 
 
-def _verdict(status: str, crit: float, gap_tol: float, yes: str, no: str) -> str:
-    if status != STATUS_OPTIMAL:
-        return "Inconclusive"
-    if crit >= 1.0 - VERDICT_MARGIN_FACTOR * gap_tol:
-        return yes
-    return no
-
-
 def check_jm_input(mset: MeasurementSet) -> None:
     """Raise ValueError unless jm_critical_visibility accepts the set:
     two-outcome qubit measurements, at most MAX_SETTINGS of them."""
@@ -77,6 +71,52 @@ def check_lhs_input(assemblage: Assemblage) -> None:
         raise ValueError(f"model search is exponential in n; refusing n > {MAX_SETTINGS}")
 
 
+def _parent_search(
+    pairs, kind: str, yes: str, no: str, gap_tol: float, feas_tol: float
+) -> CertificationReport:
+    """Largest v at which PSD parent blocks G_lam, one per response string
+    lam in {0,1}^n, reproduce v T + (1 - v) N for each 2x2 (target, noise)
+    pair (T, N) of ``pairs``, capped at 1.
+
+    Pair 0 fixes the sum over all lam and pair x + 1 the sum over lam_x = 0:
+    sum G_lam - v (T - N) = N. A slack s with v + s = 1 caps v. Verdict
+    ``yes`` means the target itself (v = 1) admits the parent structure
+    within the verdict margin, ``no`` that it does not; a solve that did
+    not converge is Inconclusive.
+    """
+    lams = list(itertools.product((0, 1), repeat=len(pairs) - 1))
+    n_l = len(lams)
+    v_ix, s_ix = n_l, n_l + 1
+    builder = ProgramBuilder([2] * n_l + [1, 1])
+    for x, (target, noise) in enumerate(pairs):
+        terms: dict = {
+            li: 1.0 for li, lam in enumerate(lams) if x == 0 or lam[x - 1] == 0
+        }
+        terms[v_ix] = -(target - noise)
+        builder.add_operator_equation(terms, HermitianOperator(noise))
+    builder.add_operator_equation({v_ix: 1.0, s_ix: 1.0}, 1.0)
+    # Maximize v: the objective in hvec coordinates, 4 per 2x2 block.
+    objective = np.zeros(4 * n_l + 2)
+    objective[4 * n_l] = 1.0
+    sol = builder.prepared().solve_with(
+        objective, maximize=True, gap_tol=gap_tol, feas_tol=feas_tol
+    )
+    crit = min(1.0, max(0.0, sol.primal_value))
+    if sol.status != STATUS_OPTIMAL:
+        verdict = "Inconclusive"
+    elif crit >= 1.0 - VERDICT_MARGIN_FACTOR * gap_tol:
+        verdict = yes
+    else:
+        verdict = no
+    return CertificationReport(
+        kind=kind,
+        critical_visibility=crit,
+        verdict=verdict,
+        status=sol.status,
+        solver_gap=sol.gap,
+    )
+
+
 def jm_critical_visibility(
     mset: MeasurementSet,
     gap_tol: float = DEFAULT_GAP_TOL,
@@ -91,36 +131,10 @@ def jm_critical_visibility(
     (v = 1) is jointly measurable within the verdict margin.
     """
     check_jm_input(mset)
-    n = mset.n
-    lams = list(itertools.product((0, 1), repeat=n))
-    n_l = len(lams)
-    v_ix, s_ix = n_l, n_l + 1
-    builder = ProgramBuilder([2] * n_l + [1, 1])
-    ident = HermitianOperator(np.eye(2))
-    half = 0.5 * np.eye(2, dtype=np.complex128)
-    builder.add_operator_equation(
-        {li: 1.0 for li in range(n_l)}, ident
-    )
-    for x in range(n):
-        terms: dict = {
-            li: 1.0 for li, lam in enumerate(lams) if lam[x] == 0
-        }
-        terms[v_ix] = -(mset[x][0].entries - half)
-        builder.add_operator_equation(terms, HermitianOperator(half))
-    builder.add_operator_equation({v_ix: 1.0, s_ix: 1.0}, 1.0)
-    # Maximize v: the objective in hvec coordinates, 4 per 2x2 block.
-    objective = np.zeros(4 * n_l + 2)
-    objective[4 * n_l] = 1.0
-    sol = builder.prepared().solve_with(
-        objective, maximize=True, gap_tol=gap_tol, feas_tol=feas_tol
-    )
-    crit = min(1.0, max(0.0, sol.primal_value))
-    return CertificationReport(
-        kind=KIND_JOINT_MEASURABILITY,
-        critical_visibility=crit,
-        verdict=_verdict(sol.status, crit, gap_tol, "Compatible", "Incompatible"),
-        status=sol.status,
-        solver_gap=sol.gap,
+    ident = np.eye(2)
+    pairs = [(ident, ident)] + [(povm[0].entries, _HALF) for povm in mset.settings]
+    return _parent_search(
+        pairs, KIND_JOINT_MEASURABILITY, "Compatible", "Incompatible", gap_tol, feas_tol
     )
 
 
@@ -137,36 +151,12 @@ def lhs_critical_visibility(
     outcome-0 rows plus the global sum pin the decomposition.
     """
     check_lhs_input(assemblage)
-    n = assemblage.n_settings
-    lams = list(itertools.product((0, 1), repeat=n))
-    n_l = len(lams)
-    v_ix, s_ix = n_l, n_l + 1
-    builder = ProgramBuilder([2] * n_l + [1, 1])
-    half = 0.5 * np.eye(2, dtype=np.complex128)
-    rho_b = assemblage.reduced_state.entries
-    global_terms: dict = {li: 1.0 for li in range(n_l)}
-    global_terms[v_ix] = -(rho_b - half)
-    builder.add_operator_equation(global_terms, HermitianOperator(half))
-    for x in range(n):
+    pairs = [(assemblage.reduced_state.entries, _HALF)]
+    for x in range(assemblage.n_settings):
         sigma = assemblage[0, x].entries
-        t_x = float(np.trace(sigma).real)
-        terms = {li: 1.0 for li, lam in enumerate(lams) if lam[x] == 0}
-        terms[v_ix] = -(sigma - t_x * half)
-        builder.add_operator_equation(terms, HermitianOperator(t_x * half))
-    builder.add_operator_equation({v_ix: 1.0, s_ix: 1.0}, 1.0)
-    # Maximize v: the objective in hvec coordinates, 4 per 2x2 block.
-    objective = np.zeros(4 * n_l + 2)
-    objective[4 * n_l] = 1.0
-    sol = builder.prepared().solve_with(
-        objective, maximize=True, gap_tol=gap_tol, feas_tol=feas_tol
-    )
-    crit = min(1.0, max(0.0, sol.primal_value))
-    return CertificationReport(
-        kind=KIND_LOCAL_HIDDEN_STATE,
-        critical_visibility=crit,
-        verdict=_verdict(sol.status, crit, gap_tol, "Unsteerable", "Steerable"),
-        status=sol.status,
-        solver_gap=sol.gap,
+        pairs.append((sigma, float(np.trace(sigma).real) * _HALF))
+    return _parent_search(
+        pairs, KIND_LOCAL_HIDDEN_STATE, "Unsteerable", "Steerable", gap_tol, feas_tol
     )
 
 

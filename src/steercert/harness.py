@@ -52,6 +52,10 @@ from .witness import (
 MASK64 = (1 << 64) - 1
 POST_SELECT_MARGIN = 1e-7
 PROBE_STEP = 1e-3
+# Witness value of any ensemble against all-trivial measurements: every
+# winning probability is 1/2 and the ensemble's equalities fix its total
+# weight, so the value is exactly 1/2.
+TRIVIAL_BASELINE = 0.5
 
 EXPERIMENTS = (
     "conjecture1",
@@ -135,6 +139,8 @@ class ExperimentConfig:
             ns = default
         elif not isinstance(ns, (list, tuple)):
             ns = (ns,)
+        if not ns:
+            raise ConfigError("n must list at least one setting count")
         return tuple(sorted(set(_converted(int, "n", k) for k in ns)))
 
     def _normalize_n(self):
@@ -237,15 +243,7 @@ def _conjecture1_sample(args) -> SampleRecord:
         rng = np.random.default_rng(seed)
         params, mset = sample_random_povm_set(rng, n)
         scenario = Scenario(n)
-        res = optimize_ensemble(
-            scenario, mset, True, gap_tol=gap_tol, feas_tol=feas_tol
-        )
-        # Witness value of the returned ensemble against all-trivial
-        # measurements: every winning probability is 1/2, so this is half
-        # the total ensemble weight.
-        baseline = float(
-            sum(rho.trace() for rho in res.states)
-        ) / 2 ** n
+        res = optimize_ensemble(scenario, mset, gap_tol=gap_tol, feas_tol=feas_tol)
         bound = noncontextual_bound(n)
         post = res.status == STATUS_OPTIMAL and res.value > bound + POST_SELECT_MARGIN
         record = SampleRecord(
@@ -259,13 +257,13 @@ def _conjecture1_sample(args) -> SampleRecord:
             witness_dual=res.dual_value,
             solver_status=res.status,
             solver_gap=res.gap,
-            baseline=baseline,
+            baseline=TRIVIAL_BASELINE,
         )
         if post:
             # The dual value upper-bounds the true optimum, so the derived
             # visibility under-shoots the exact threshold and the verdict
             # at it is robust to solver error.
-            v = threshold_visibility(res.dual_value, baseline, n)
+            v = threshold_visibility(res.dual_value, TRIVIAL_BASELINE, n)
             probe = min(1.0, v + PROBE_STEP)
             rep_v = jm_critical_visibility(
                 depolarize_measurements(mset, v), gap_tol, feas_tol
@@ -468,8 +466,19 @@ def run_nc_bound(config: ExperimentConfig):
     return summary, records
 
 
-def _operator_from_json(data) -> HermitianOperator:
-    return HermitianOperator.from_json(data)
+def _measurements_from_json(data) -> MeasurementSet:
+    """A measurement set from Bloch rows under "bloch" or explicit effect
+    matrices under "effects"."""
+    if "bloch" in data:
+        return povm_from_bloch(BlochPovmParams.from_json(data["bloch"]))
+    if "effects" in data:
+        return MeasurementSet(
+            [
+                Povm([HermitianOperator.from_json(e) for e in setting])
+                for setting in data["effects"]
+            ]
+        )
+    raise ConfigError('measurement JSON needs a "bloch" or "effects" key')
 
 
 def load_measurement_set(path: str) -> MeasurementSet:
@@ -478,17 +487,7 @@ def load_measurement_set(path: str) -> MeasurementSet:
     depolarizes the set after loading."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    if "bloch" in data:
-        mset = povm_from_bloch(BlochPovmParams.from_json(data["bloch"]))
-    elif "effects" in data:
-        mset = MeasurementSet(
-            [
-                Povm([_operator_from_json(e) for e in setting])
-                for setting in data["effects"]
-            ]
-        )
-    else:
-        raise ConfigError('measurement JSON needs a "bloch" or "effects" key')
+    mset = _measurements_from_json(data)
     if "visibility" in data:
         mset = depolarize_measurements(mset, float(data["visibility"]))
     return mset
@@ -497,12 +496,13 @@ def load_measurement_set(path: str) -> MeasurementSet:
 def load_assemblage(path: str) -> Assemblage:
     """Read an assemblage from JSON: either explicit entries (grouped per
     setting) under "assemblage", or a bipartite "state" (matrix, or a
-    noisy-singlet "visibility") plus the steering party's measurements."""
+    noisy-singlet "visibility") plus the steering party's measurements,
+    in either form of load_measurement_set, under "alice"."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if "assemblage" in data:
         per_setting = [
-            [_operator_from_json(op) for op in row] for row in data["assemblage"]
+            [HermitianOperator.from_json(op) for op in row] for row in data["assemblage"]
         ]
         if not per_setting:
             raise ValueError("assemblage needs at least one setting")
@@ -516,95 +516,72 @@ def load_assemblage(path: str) -> Assemblage:
         return Assemblage(entries)
     if "alice" in data:
         if "state" in data:
-            state = _operator_from_json(data["state"])
+            state = HermitianOperator.from_json(data["state"])
         elif "visibility" in data:
             state = noisy_singlet(float(data["visibility"]))
         else:
             raise ConfigError(
                 'assemblage JSON needs a "state" or "visibility" key'
             )
-        alice_data = data["alice"]
-        if "bloch" in alice_data:
-            alice = povm_from_bloch(BlochPovmParams.from_json(alice_data["bloch"]))
-        else:
-            alice = MeasurementSet(
-                [
-                    Povm([_operator_from_json(e) for e in setting])
-                    for setting in alice_data["effects"]
-                ]
-            )
-        return assemblage_from(state, alice)
+        return assemblage_from(state, _measurements_from_json(data["alice"]))
     raise ConfigError('assemblage JSON needs an "assemblage" or "alice" key')
+
+
+def _one_record(config, start, record, n, estimate, lo, hi, inconclusive, notes):
+    """The summary of a run that yields one record, with that record
+    written to the outputs."""
+    summary = RunSummary(
+        experiment=config.experiment,
+        config=config.to_json(),
+        counts={"inconclusive": int(inconclusive)},
+        estimates=[{"n": n, "estimate": estimate, "bracket_lo": lo, "bracket_hi": hi}],
+        total_runtime=time.perf_counter() - start,
+        ok=not inconclusive,
+        notes=notes,
+    )
+    _write_outputs(config.out, summary, [record])
+    return summary, [record]
+
+
+def _run_check(config, what: str, load, check, certifier, settings):
+    """Load an input file, validate it for ``certifier`` inside the
+    ConfigError wrapping, certify it and report the one record;
+    settings(target) gives the input's setting count."""
+    start = time.perf_counter()
+    try:
+        target = load(config.input_path)
+        check(target)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"cannot load {what}: {exc}") from exc
+    report = certifier(target, config.gap_tol, config.feas_tol)
+    n = settings(target)
+    record = {
+        "input": config.input_path,
+        "settings": n,
+        "report": report.to_json(),
+        "wall_time": time.perf_counter() - start,
+    }
+    crit, gap = report.critical_visibility, report.solver_gap
+    return _one_record(
+        config, start, record, n, crit, crit - gap, crit + gap,
+        report.verdict == "Inconclusive", [f"verdict: {report.verdict}"],
+    )
 
 
 def run_jm_check(config: ExperimentConfig):
     """Certify joint measurability of a measurement set read from a file."""
-    start = time.perf_counter()
-    try:
-        mset = load_measurement_set(config.input_path)
-        check_jm_input(mset)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"cannot load measurement set: {exc}") from exc
-    report = jm_critical_visibility(mset, config.gap_tol, config.feas_tol)
-    record = {
-        "input": config.input_path,
-        "settings": mset.n,
-        "report": report.to_json(),
-        "wall_time": time.perf_counter() - start,
-    }
-    summary = RunSummary(
-        experiment=config.experiment,
-        config=config.to_json(),
-        counts={"inconclusive": int(report.verdict == "Inconclusive")},
-        estimates=[
-            {
-                "n": mset.n,
-                "estimate": report.critical_visibility,
-                "bracket_lo": report.critical_visibility - report.solver_gap,
-                "bracket_hi": report.critical_visibility + report.solver_gap,
-            }
-        ],
-        total_runtime=time.perf_counter() - start,
-        ok=report.verdict != "Inconclusive",
-        notes=[f"verdict: {report.verdict}"],
+    return _run_check(
+        config, "measurement set", load_measurement_set, check_jm_input,
+        jm_critical_visibility, lambda mset: mset.n,
     )
-    _write_outputs(config.out, summary, [record])
-    return summary, [record]
 
 
 def run_steer_check(config: ExperimentConfig):
     """Certify a local hidden-state model for an assemblage from a file."""
-    start = time.perf_counter()
-    try:
-        assemblage = load_assemblage(config.input_path)
-        check_lhs_input(assemblage)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"cannot load assemblage: {exc}") from exc
-    report = lhs_critical_visibility(assemblage, config.gap_tol, config.feas_tol)
-    record = {
-        "input": config.input_path,
-        "settings": assemblage.n_settings,
-        "report": report.to_json(),
-        "wall_time": time.perf_counter() - start,
-    }
-    summary = RunSummary(
-        experiment=config.experiment,
-        config=config.to_json(),
-        counts={"inconclusive": int(report.verdict == "Inconclusive")},
-        estimates=[
-            {
-                "n": assemblage.n_settings,
-                "estimate": report.critical_visibility,
-                "bracket_lo": report.critical_visibility - report.solver_gap,
-                "bracket_hi": report.critical_visibility + report.solver_gap,
-            }
-        ],
-        total_runtime=time.perf_counter() - start,
-        ok=report.verdict != "Inconclusive",
-        notes=[f"verdict: {report.verdict}"],
+    return _run_check(
+        config, "assemblage", load_assemblage, check_lhs_input,
+        lhs_critical_visibility, lambda assemblage: assemblage.n_settings,
     )
-    _write_outputs(config.out, summary, [record])
-    return summary, [record]
 
 
 def run_witness_opt(config: ExperimentConfig):
@@ -620,10 +597,9 @@ def run_witness_opt(config: ExperimentConfig):
         raise ConfigError("supported range is 2 <= n <= 7 settings")
     scenario = Scenario(mset.n)
     res = optimize_ensemble(
-        scenario, mset, True, gap_tol=config.gap_tol, feas_tol=config.feas_tol
+        scenario, mset, gap_tol=config.gap_tol, feas_tol=config.feas_tol
     )
     bound = noncontextual_bound(mset.n)
-    baseline = float(sum(rho.trace() for rho in res.states)) / 2 ** mset.n
     record = {
         "input": config.input_path,
         "n": mset.n,
@@ -636,26 +612,12 @@ def run_witness_opt(config: ExperimentConfig):
     }
     if res.status == STATUS_OPTIMAL and res.value > bound + POST_SELECT_MARGIN:
         record["threshold_v"] = threshold_visibility(
-            res.dual_value, baseline, mset.n
+            res.dual_value, TRIVIAL_BASELINE, mset.n
         )
-    summary = RunSummary(
-        experiment=config.experiment,
-        config=config.to_json(),
-        counts={"inconclusive": int(res.status != STATUS_OPTIMAL)},
-        estimates=[
-            {
-                "n": mset.n,
-                "estimate": res.value,
-                "bracket_lo": res.value,
-                "bracket_hi": res.dual_value,
-            }
-        ],
-        total_runtime=time.perf_counter() - start,
-        ok=res.status == STATUS_OPTIMAL,
-        notes=[],
+    return _one_record(
+        config, start, record, mset.n, res.value, res.value, res.dual_value,
+        res.status != STATUS_OPTIMAL, [],
     )
-    _write_outputs(config.out, summary, [record])
-    return summary, [record]
 
 
 _RUNNERS = {

@@ -275,21 +275,22 @@ def _steps_from_min_eig(lam_min: np.ndarray) -> np.ndarray:
 
 
 # The cone operations below act row by row: row i of every result depends
-# on row i of the arguments alone. A scaling flags the blocks it could not
-# scale in ``bad`` instead of raising, so that one instance of a batch can
-# fail while the others go on; a flagged block's other entries are garbage.
+# on row i of the arguments alone. Every iterate passes its group's strict
+# interior test (the start point, and the rows _backtrack_into_cone admits),
+# where the orthant and Lorentz scalings are defined in closed form. The
+# Hermitian scaling flags the blocks it could not factor in ``bad`` instead
+# of raising, so that one instance of a batch can fail while the others go
+# on; a flagged block's other entries are garbage.
 
 
 class _OrthantScaling:
     """NT scaling of 1x1 blocks: W = sqrt(x / z) acting entrywise."""
 
-    __slots__ = ("wt", "lam", "bad", "_w")
+    __slots__ = ("wt", "lam", "_w")
 
     def __init__(self, x: np.ndarray, z: np.ndarray) -> None:
-        self.bad = ~((x > 0) & (z > 0))[:, 0]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            self._w = np.sqrt(x / z)
-            self.lam = np.sqrt(x * z)
+        self._w = np.sqrt(x / z)
+        self.lam = np.sqrt(x * z)
         self.wt = self._w[:, :, None]
 
     def w(self, v: np.ndarray) -> np.ndarray:
@@ -324,16 +325,13 @@ class _LorentzScaling:
     quadratic cone program solvers, 2010).
     """
 
-    __slots__ = ("wt", "lam", "bad", "_det_lam", "_u", "_inv_l1", "_inv_l2")
+    __slots__ = ("wt", "lam", "_det_lam", "_u", "_inv_l1", "_inv_l2")
 
     def __init__(self, x: np.ndarray, z: np.ndarray) -> None:
         x_lo, x_hi = _soc_bounds(x)
         z_lo, z_hi = _soc_bounds(z)
-        self.bad = ~(np.minimum(x_lo, z_lo) > 0)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            self._scale(x, z, x_lo * x_hi, z_lo * z_hi)
-
-    def _scale(self, x, z, det_x, det_z) -> None:
+        det_x = x_lo * x_hi
+        det_z = z_lo * z_hi
         x_bar = x / np.sqrt(det_x)[:, None]
         z_bar = z / np.sqrt(det_z)[:, None]
         gamma = np.sqrt(0.5 + 0.5 * _rowdot(x_bar, z_bar))[:, None]
@@ -503,10 +501,11 @@ class _Group:
     the Jordan product ``jordan(u, v)`` and the strict-interior test
     ``interior(x)``, per block. A scaling holds ``wt``, the (n, d^2, d^2)
     matrices of W^T, whose product W^T W is the Schur kernel H with H z = x,
-    the scaled point ``lam`` = W z = W^-T x, and ``bad``, the blocks it
-    could not scale. It applies W and W^T (``w``, ``w_t``), solves
-    lam o g = r (``solve``) and gives, per block, the least eigenvalue of a
-    scaled direction in lam's frame (``least_eig``), which bounds the step.
+    and the scaled point ``lam`` = W z = W^-T x; a Hermitian scaling also
+    flags in ``bad`` the blocks it could not scale. It applies W and W^T
+    (``w``, ``w_t``), solves lam o g = r (``solve``) and gives, per block,
+    the least eigenvalue of a scaled direction in lam's frame
+    (``least_eig``), which bounds the step.
     ``a_blocks`` holds the group's columns of the reduced constraint
     matrix, shape (n, m, d^2), once the program is built.
     """
@@ -954,7 +953,12 @@ class PreparedSdp:
             while True:
                 k = len(st.x)
                 scal = [g.nt(g.seg(st.x), g.seg(st.z)) for g in self.groups]
-                failed = self._flagged(k, [s.bad for s in scal])
+                bad = [
+                    s.bad.reshape(k, -1).any(axis=1)
+                    for s in scal
+                    if isinstance(s, _HermitianScaling)
+                ]
+                failed = np.flatnonzero(np.any(bad, axis=0)).tolist() if bad else []
                 message = "iterate left the positive cone"
                 if not failed:
                     # The Newton system reduces to the Schur complement
@@ -1151,32 +1155,23 @@ class PreparedSdp:
         dz = rd - _matvec(self.a_red.T, dy)
         return dx, dy, dz, dxs, self._scaled(k, scal, "w", dz)
 
-    def _flagged(self, k: int, per_group: list) -> list:
-        """The instances with a flagged block, given one per-block flag
-        array per group."""
-        hit = [flags for flags in per_group if flags.any()]
-        if not hit:
-            return []
-        flagged = np.zeros(k, dtype=bool)
-        for flags in hit:
-            flagged |= flags.reshape(k, -1).any(axis=1)
-        return np.flatnonzero(flagged).tolist()
-
     def _interior(self, vecs: np.ndarray) -> np.ndarray:
-        """Whether each instance row lies strictly inside every cone."""
+        """Whether each instance row is finite and lies strictly inside
+        every cone."""
         k = len(vecs)
-        inside = None
+        inside = np.isfinite(vecs).all(axis=1)
         for g in self.groups:
-            g_inside = g.interior(g.seg(vecs)).reshape(k, -1).all(axis=1)
-            inside = g_inside if inside is None else inside & g_inside
+            inside &= g.interior(g.seg(vecs)).reshape(k, -1).all(axis=1)
         return inside
 
     def _backtrack_into_cone(self, state, delta, alpha, tries: int = 6):
         """Return (alpha, new_state) with each instance's row of new_state
-        strictly inside every cone, halving that instance's alpha as
-        needed; alpha 0 keeps its old row."""
+        finite and strictly inside every cone, halving that instance's
+        alpha as needed; alpha 0 keeps its old row."""
         trial = state + alpha[:, None] * delta
-        if all(g.interior(g.seg(trial)).all() for g in self.groups):
+        if np.isfinite(trial).all() and all(
+            g.interior(g.seg(trial)).all() for g in self.groups
+        ):
             return alpha, trial
         ok = self._interior(trial)
         alpha = alpha.copy()

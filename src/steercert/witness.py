@@ -225,7 +225,7 @@ class EnsembleResult:
 
 
 @lru_cache(maxsize=None)
-def _ensemble_program(n: int, include_nosignaling: bool):
+def _ensemble_program(n: int):
     """The ensemble program, a block per preparation in the scenario's
     order, and the target strings of those preparations."""
     scenario = Scenario(n)
@@ -241,17 +241,15 @@ def _ensemble_program(n: int, include_nosignaling: bool):
         for pi, (a, x) in enumerate(preps):
             terms[pi] = 1.0 if scenario.parity_side(r, a, x) == 0 else -1.0
         builder.add_operator_equation(terms, zero)
-    if include_nosignaling:
-        for xi in range(1, n_x):
-            terms = {xi: 1.0, n_x + xi: 1.0, 0: -1.0, n_x: -1.0}
-            builder.add_operator_equation(terms, zero)
+    for xi in range(1, n_x):
+        terms = {xi: 1.0, n_x + xi: 1.0, 0: -1.0, n_x: -1.0}
+        builder.add_operator_equation(terms, zero)
     return scenario, builder.prepared(), scenario.targets(preps)
 
 
 def optimize_ensemble(
     scenario: Scenario,
     bob: MeasurementSet,
-    include_nosignaling: bool = True,
     gap_tol: float = DEFAULT_GAP_TOL,
     feas_tol: float = DEFAULT_FEAS_TOL,
 ) -> EnsembleResult:
@@ -262,16 +260,13 @@ def optimize_ensemble(
     conditional weight of each outcome bit. The returned states are the
     weighted preparations, so the trace of entry (a, x) is the probability
     of bit a in setting x and the two traces of a setting sum to one.
-    Preparations may not signal the removed setting bit unless
-    include_nosignaling is switched off. The returned states follow the
-    scenario's preparation order.
+    Preparations may not signal the removed setting bit. The returned
+    states follow the scenario's preparation order.
     """
     if bob.n != scenario.n:
         raise ValueError("measurement count does not match the scenario")
     check_binary_qubit(bob)
-    cached_scenario, prepared, targets = _ensemble_program(
-        scenario.n, bool(include_nosignaling)
-    )
+    cached_scenario, prepared, targets = _ensemble_program(scenario.n)
     weight = 1.0 / (scenario.n * len(cached_scenario.x_strings))
     effects = np.array([[e.entries for e in povm.effects] for povm in bob.settings])
     # Preparation (a, x) scores sum_y B_{t_y|y} with target t = t(a, x);

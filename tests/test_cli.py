@@ -128,6 +128,8 @@ _NINE_SETTINGS = [[0.0, 0.0, 1.0, 1.0, 1.0]] * 9
         ("conj1 --samples 0 --config", {"gap_tol": "x"}),
         ("conj1 --samples 0 --config", {"threads": None}),
         ("conj1 --samples 0 --config", {"n": [3]}),
+        ("nc-bound --n ,", None),
+        ("vn-table --config", {"n": []}),
         # Input that loads but that the certifiers reject.
         ("steer-check", {"assemblage": [[_HALF_IDENTITY]]}),
         (
@@ -154,6 +156,8 @@ _NINE_SETTINGS = [[0.0, 0.0, 1.0, 1.0, 1.0]] * 9
         "config-gap-tol-not-number",
         "config-threads-null",
         "config-conj1-n-list",
+        "nc-bound-n-empty",
+        "config-vn-table-n-empty",
         "one-outcome",
         "qubit-state",
         "jm-nine-settings",

@@ -547,6 +547,37 @@ def test_block_dimension_picks_the_cone():
     }
 
 
+def test_backtracking_admits_only_interior_rows():
+    """Every row _backtrack_into_cone returns is finite and passes each
+    group's strict-interior test, the test the orthant and Lorentz
+    scalings rely on in place of failure flags: huge directions are halved
+    or refused, and directions with non-finite entries are refused."""
+    prep = _without_rows((3, 1, 2, 2, 1))
+    rng = np.random.default_rng(41)
+    k = 8
+    state = prep._x_start + 0.2 * rng.normal(size=(k, prep.n_cols))
+    assert prep._interior(state).all()
+    delta = rng.normal(size=(k, prep.n_cols))
+    delta[1] *= 1e3
+    delta[2] *= 1e150
+    delta[3, 2] = 1e150  # a Lorentz block's x_0: inside at any step
+    delta[4, 0] = np.nan
+    delta[5, 1] = np.inf  # an orthant coordinate
+    delta[6, 2] = np.inf  # a Lorentz block's x_0
+    delta[7, 12] = -np.inf  # a 3x3 block's diagonal
+    for sign in (1.0, -1.0):
+        alpha, new = prep._backtrack_into_cone(state, sign * delta, np.ones(k))
+        assert np.isfinite(new).all()
+        for g in prep.groups:
+            assert g.interior(g.seg(new)).all()
+        moved = alpha > 0
+        assert np.array_equal(new[~moved], state[~moved])
+        step = state[moved] + alpha[moved, None] * (sign * delta[moved])
+        assert np.array_equal(new[moved], step)
+        assert not moved[4:].any()
+        assert moved[:4].any()
+
+
 def test_program_without_equalities():
     # min tr X1 + tr X2 + x3 over the cones: the optimum is 0.
     prep = _without_rows((1, 2, 3))
@@ -672,7 +703,7 @@ def _production_builders(monkeypatch):
         _, mset = sample_random_povm_set(rng, n)
         certify.jm_critical_visibility(mset)
         certify.lhs_critical_visibility(assemblage_from(noisy_singlet(0.8), mset))
-    witness._ensemble_program.__wrapped__(3, True)
+    witness._ensemble_program.__wrapped__(3)
     witness._alice_program.__wrapped__(3)
     return _RecordingBuilder.built
 
@@ -756,7 +787,7 @@ def _batch_program(name):
     if name == "alice3":
         return witness._alice_program(3)[1]
     if name == "ensemble3":
-        return witness._ensemble_program(3, True)[1]
+        return witness._ensemble_program(3)[1]
     _RecordingBuilder.built = []
     return _mixed_builder().prepared()
 
