@@ -99,7 +99,7 @@ def _parent_search(
     objective = np.zeros(4 * n_l + 2)
     objective[4 * n_l] = 1.0
     sol = builder.prepared().solve_with(
-        objective, maximize=True, gap_tol=gap_tol, feas_tol=feas_tol
+        objective, gap_tol=gap_tol, feas_tol=feas_tol
     )
     crit = min(1.0, max(0.0, sol.primal_value))
     if sol.status != STATUS_OPTIMAL:

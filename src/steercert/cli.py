@@ -11,13 +11,14 @@ import sys
 
 from .harness import ConfigError, ExperimentConfig, run_experiment
 
+# Subcommand name: (experiment, help).
 _SUBCOMMANDS = {
-    "conj1": "conjecture1",
-    "vn-table": "vn_table",
-    "nc-bound": "nc_bound",
-    "jm-check": "jm_check",
-    "steer-check": "steer_check",
-    "witness-opt": "witness_opt",
+    "conj1": ("conjecture1", "sample random measurements and certify at the threshold"),
+    "vn-table": ("vn_table", "estimate critical visibilities per setting count"),
+    "nc-bound": ("nc_bound", "cross-check the classical bound against the LP"),
+    "jm-check": ("jm_check", "certify joint measurability of a measurement file"),
+    "steer-check": ("steer_check", "certify a hidden-state model for an assemblage file"),
+    "witness-opt": ("witness_opt", "optimize the ensemble for a measurement file"),
 }
 _CHECK_MODE = {"jm_check", "steer_check", "witness_opt"}
 
@@ -55,16 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "conj1": "sample random measurements and certify at the threshold",
-        "vn-table": "estimate critical visibilities per setting count",
-        "nc-bound": "cross-check the classical bound against the LP",
-        "jm-check": "certify joint measurability of a measurement file",
-        "steer-check": "certify a hidden-state model for an assemblage file",
-        "witness-opt": "optimize the ensemble for a measurement file",
-    }
-    for name, experiment in _SUBCOMMANDS.items():
-        sub = subparsers.add_parser(name, help=helps[name])
+    for name, (experiment, help_text) in _SUBCOMMANDS.items():
+        sub = subparsers.add_parser(name, help=help_text)
         if experiment in _CHECK_MODE:
             sub.add_argument("input", help="JSON input file")
         if experiment == "vn_table":
@@ -79,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
-    experiment = _SUBCOMMANDS[args.command]
+    experiment, _ = _SUBCOMMANDS[args.command]
     data: dict = {}
     if args.config:
         try:

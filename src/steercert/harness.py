@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -57,16 +58,6 @@ PROBE_STEP = 1e-3
 # weight, so the value is exactly 1/2.
 TRIVIAL_BASELINE = 0.5
 
-EXPERIMENTS = (
-    "conjecture1",
-    "vn_table",
-    "nc_bound",
-    "jm_check",
-    "steer_check",
-    "witness_opt",
-)
-
-
 class ConfigError(ValueError):
     """Raised for configurations the harness refuses to run."""
 
@@ -109,7 +100,7 @@ class ExperimentConfig:
     input_path: str | None = None
 
     def __post_init__(self) -> None:
-        if self.experiment not in EXPERIMENTS:
+        if self.experiment not in _RUNNERS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         self.samples = _converted(int, "samples", self.samples)
         self.seed = _converted(int, "seed", self.seed) & MASK64
@@ -120,8 +111,8 @@ class ExperimentConfig:
             raise ConfigError("threads must be at least 1")
         for name in ("gap_tol", "feas_tol", "bisect_tol"):
             value = _converted(float, name, getattr(self, name))
-            if not value > 0.0:
-                raise ConfigError(f"{name} must be positive")
+            if not 0.0 < value < math.inf:
+                raise ConfigError(f"{name} must be positive and finite")
             setattr(self, name, value)
         if self.restarts is not None:
             self.restarts = _converted(int, "restarts", self.restarts)
@@ -341,7 +332,8 @@ def _run_tasks(worker, tasks, threads: int) -> list:
     tasks = list(tasks)
     if threads <= 1 or len(tasks) <= 1:
         return [worker(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    # The pool starts all its workers at once, so start no idle ones.
+    with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
         return list(pool.map(worker, tasks))
 
 
@@ -378,26 +370,14 @@ def run_conjecture1(config: ExperimentConfig):
         if not rec.post_selected:
             continue
         counts["post_selected"] += 1
-        key = {
-            "Compatible": "compatible_at_threshold",
-            "Incompatible": "incompatible_at_threshold",
-        }.get(rec.verdict_at_threshold, "inconclusive_at_threshold")
-        counts[key] += 1
-        key = {
-            "Compatible": "compatible_at_probe",
-            "Incompatible": "incompatible_at_probe",
-        }.get(rec.verdict_at_probe, "inconclusive_at_probe")
-        counts[key] += 1
-    summary = RunSummary(
-        experiment=config.experiment,
-        config=config.to_json(),
-        counts=counts,
-        estimates=[],
-        total_runtime=time.perf_counter() - start,
-        ok=counts["errors"] == 0,
-    )
-    _write_outputs(config.out, summary, [r.to_json() for r in records])
-    return summary, records
+        for at in ("threshold", "probe"):
+            verdict = getattr(rec, f"verdict_at_{at}")
+            if verdict not in ("Compatible", "Incompatible"):
+                verdict = "Inconclusive"
+            counts[f"{verdict.lower()}_at_{at}"] += 1
+    rows = [r.to_json() for r in records]
+    ok = counts["errors"] == 0
+    return _finish(config, start, rows, counts, [], ok, []), records
 
 
 def run_vn_table(config: ExperimentConfig):
@@ -427,16 +407,8 @@ def run_vn_table(config: ExperimentConfig):
         if "estimate" in rec
     ]
     failed = sum(1 for rec in records if "error" in rec)
-    summary = RunSummary(
-        experiment=config.experiment,
-        config=config.to_json(),
-        counts={"entries": len(records), "failed": failed},
-        estimates=estimates,
-        total_runtime=time.perf_counter() - start,
-        ok=failed == 0,
-    )
-    _write_outputs(config.out, summary, records)
-    return summary, records
+    counts = {"entries": len(records), "failed": failed}
+    return _finish(config, start, records, counts, estimates, failed == 0, []), records
 
 
 def run_nc_bound(config: ExperimentConfig):
@@ -445,25 +417,19 @@ def run_nc_bound(config: ExperimentConfig):
     start = time.perf_counter()
     records = _run_tasks(_nc_entry, [(n,) for n in config.n], config.threads)
     worst = max(abs(rec["difference"]) for rec in records)
-    summary = RunSummary(
-        experiment=config.experiment,
-        config=config.to_json(),
-        counts={"entries": len(records)},
-        estimates=[
-            {
-                "n": rec["n"],
-                "estimate": rec["lp_value"],
-                "bracket_lo": rec["closed_form"],
-                "bracket_hi": rec["closed_form"],
-            }
-            for rec in records
-        ],
-        total_runtime=time.perf_counter() - start,
-        ok=worst <= 1e-9,
-        notes=[f"largest deviation from closed form: {worst:.3e}"],
-    )
-    _write_outputs(config.out, summary, records)
-    return summary, records
+    estimates = [
+        {
+            "n": rec["n"],
+            "estimate": rec["lp_value"],
+            "bracket_lo": rec["closed_form"],
+            "bracket_hi": rec["closed_form"],
+        }
+        for rec in records
+    ]
+    counts = {"entries": len(records)}
+    ok = worst <= 1e-9
+    notes = [f"largest deviation from closed form: {worst:.3e}"]
+    return _finish(config, start, records, counts, estimates, ok, notes), records
 
 
 def _measurements_from_json(data) -> MeasurementSet:
@@ -530,17 +496,10 @@ def load_assemblage(path: str) -> Assemblage:
 def _one_record(config, start, record, n, estimate, lo, hi, inconclusive, notes):
     """The summary of a run that yields one record, with that record
     written to the outputs."""
-    summary = RunSummary(
-        experiment=config.experiment,
-        config=config.to_json(),
-        counts={"inconclusive": int(inconclusive)},
-        estimates=[{"n": n, "estimate": estimate, "bracket_lo": lo, "bracket_hi": hi}],
-        total_runtime=time.perf_counter() - start,
-        ok=not inconclusive,
-        notes=notes,
-    )
-    _write_outputs(config.out, summary, [record])
-    return summary, [record]
+    counts = {"inconclusive": int(inconclusive)}
+    estimates = [{"n": n, "estimate": estimate, "bracket_lo": lo, "bracket_hi": hi}]
+    ok = not inconclusive
+    return _finish(config, start, [record], counts, estimates, ok, notes), [record]
 
 
 def _run_check(config, what: str, load, check, certifier, settings):
@@ -635,6 +594,22 @@ def run_experiment(config: ExperimentConfig):
 
 
 # -- output files -----------------------------------------------------------
+
+
+def _finish(config, start, rows, counts, estimates, ok, notes) -> RunSummary:
+    """The run's summary, timed from ``start``, written to the outputs with
+    its records ``rows``."""
+    summary = RunSummary(
+        experiment=config.experiment,
+        config=config.to_json(),
+        counts=counts,
+        estimates=estimates,
+        total_runtime=time.perf_counter() - start,
+        ok=ok,
+        notes=notes,
+    )
+    _write_outputs(config.out, summary, rows)
+    return summary
 
 
 def _write_outputs(out: str | None, summary: RunSummary, records: list) -> None:

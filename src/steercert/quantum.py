@@ -205,6 +205,17 @@ def bloch_from_povm(mset: MeasurementSet) -> BlochPovmParams:
     return BlochPovmParams(tuple(axes), tuple(eta), tuple(alpha))
 
 
+def random_axis(rng) -> np.ndarray:
+    """A unit vector uniform on the sphere: a Gaussian triple, normalized,
+    drawn again while its norm is below 1e-12."""
+    v = rng.normal(size=3)
+    norm = float(np.linalg.norm(v))
+    while norm < 1e-12:
+        v = rng.normal(size=3)
+        norm = float(np.linalg.norm(v))
+    return v / norm
+
+
 def sample_random_povm_set(rng, n: int):
     """Draw n random two-outcome qubit measurements.
 
@@ -217,12 +228,7 @@ def sample_random_povm_set(rng, n: int):
         raise ValueError("need at least two settings")
     axes, eta, alpha = [], [], []
     for _ in range(n):
-        v = rng.normal(size=3)
-        norm = float(np.linalg.norm(v))
-        while norm < 1e-12:
-            v = rng.normal(size=3)
-            norm = float(np.linalg.norm(v))
-        axes.append(tuple(v / norm))
+        axes.append(tuple(random_axis(rng)))
         e = float(rng.uniform(0.0, 1.0))
         eta.append(e)
         alpha.append(float(rng.uniform(e, 2.0 - e)))

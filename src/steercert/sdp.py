@@ -2,7 +2,7 @@
 
 Solves
 
-    max / min   sum_j <C_j, X_j>  (+ const)
+    maximize    sum_j <C_j, X_j>
     subject to  sum_j <A_ij, X_j> = b_i,    X_j >= 0,
 
 where each X_j is a Hermitian d_j x d_j matrix and <.,.> is the
@@ -16,9 +16,10 @@ hvec columns per block (below), in block order, plus the right-hand side.
 ProgramBuilder writes operator equations straight into those rows;
 operator_rows turns SdpProblem's per-block HermitianOperator coefficients
 into them. An objective takes the layout of one such row. PreparedSdp
-rejects non-finite rows and objectives, regroups the columns by block
-dimension with one gather and removes redundant rows up front by a pivoted
-QR factorization.
+only maximizes; solve() maps an SdpProblem that minimizes or adds a
+constant onto that. PreparedSdp rejects non-finite rows and objectives,
+regroups the columns by block dimension with one gather and removes
+redundant rows up front by a pivoted QR factorization.
 
 Hermitian matrices are vectorized isometrically into R^{d^2} ("hvec"):
 diagonal entries, then sqrt(2) * real and sqrt(2) * imag of the upper
@@ -50,9 +51,9 @@ factorization of the scaled rows A W^T instead of a Cholesky factorization
 of the assembled product, so its conditioning is not squared near a
 degenerate optimum.
 
-PreparedSdp solves a program for one objective (solve_with) or for a
-batch of k objectives side by side (solve_batch). Both run the same IPM
-loop, on instance rows: the iterate of every instance is one row of a
+PreparedSdp maximizes one objective (solve_with) or a batch of k
+objectives side by side (solve_batch) over one program. Both run the same
+IPM loop, on instance rows: the iterate of every instance is one row of a
 (k, n) array, the cone operations act on the k n blocks row by row, and only
 the quantities that decide something are taken per instance: the residual
 norms, mu and sigma, the step lengths, the interior test and the stopping
@@ -277,10 +278,12 @@ def _steps_from_min_eig(lam_min: np.ndarray) -> np.ndarray:
 # The cone operations below act row by row: row i of every result depends
 # on row i of the arguments alone. Every iterate passes its group's strict
 # interior test (the start point, and the rows _backtrack_into_cone admits),
-# where the orthant and Lorentz scalings are defined in closed form. The
-# Hermitian scaling flags the blocks it could not factor in ``bad`` instead
-# of raising, so that one instance of a batch can fail while the others go
-# on; a flagged block's other entries are garbage.
+# where the orthant and Lorentz scalings are defined in closed form. On a
+# Hermitian group that test is np.linalg.cholesky of the same bits, so the
+# scaling's Cholesky factorizations cannot fail; it flags in ``bad`` the
+# blocks whose scaled product lost rank instead of raising, so that one
+# instance of a batch can fail while the others go on; a flagged block's
+# other entries are garbage.
 
 
 class _OrthantScaling:
@@ -406,12 +409,11 @@ class _HermitianScaling:
 
     def __init__(self, group: "_HermitianGroup", x: np.ndarray, z: np.ndarray) -> None:
         d = group.dim
-        per = len(group.blocks)
-        lx, bad_x = _chol_batch(unhvec(x, d), per)
-        lz, bad_z = _chol_batch(unhvec(z, d), per)
+        lx = np.linalg.cholesky(unhvec(x, d))
+        lz = np.linalg.cholesky(unhvec(z, d))
         prod = lz.conj().transpose(0, 2, 1) @ lx
         _, s, vh = np.linalg.svd(prod)
-        self.bad = bad_x | bad_z | (np.min(s, axis=1) <= 0)
+        self.bad = np.min(s, axis=1) <= 0
         with np.errstate(invalid="ignore", divide="ignore"):
             s_isqrt = 1.0 / np.sqrt(s)
             r = (lx @ vh.conj().transpose(0, 2, 1)) * s_isqrt[:, None, :]
@@ -453,43 +455,6 @@ class _HermitianScaling:
         least = np.full(t.shape[:-2], np.nan)
         least[finite] = np.linalg.eigvalsh(t[finite])[..., 0]
         return least
-
-
-def _chol_jittered(mats: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.cholesky(mats)
-    except np.linalg.LinAlgError:
-        # Tiny symmetric jitter rescues roundoff-level indefiniteness.
-        d = mats.shape[-1]
-        scale = np.max(np.abs(mats), axis=(-2, -1), keepdims=True)
-        jitter = 1e-14 * np.maximum(scale, 1.0) * np.eye(d)
-        for boost in (1.0, 1e2, 1e4):
-            try:
-                return np.linalg.cholesky(mats + boost * jitter)
-            except np.linalg.LinAlgError:
-                continue
-        raise
-
-
-def _chol_batch(mats: np.ndarray, per: int):
-    """Cholesky factors of the blocks of consecutive instances, ``per``
-    blocks each, and a per-block failure flag. The jitter of _chol_jittered
-    goes on all blocks of an instance that needs it, and on no other; an
-    instance it cannot rescue gets identity factors and is flagged."""
-    try:
-        return np.linalg.cholesky(mats), np.zeros(len(mats), dtype=bool)
-    except np.linalg.LinAlgError:
-        pass
-    out = np.empty_like(mats)
-    bad = np.zeros(len(mats), dtype=bool)
-    for start in range(0, len(mats), per):
-        rows = slice(start, start + per)
-        try:
-            out[rows] = _chol_jittered(mats[rows])
-        except np.linalg.LinAlgError:
-            out[rows] = np.eye(mats.shape[-1])
-            bad[rows] = True
-    return out, bad
 
 
 class _Group:
@@ -688,7 +653,7 @@ class PreparedSdp:
 
     Preparing once and re-solving with fresh objectives is what the
     alternating optimization in the witness module leans on; the plain
-    solve() entry point prepares and solves in one go. solve_with solves
+    solve() entry point prepares and solves in one go. solve_with maximizes
     one objective and solve_batch several side by side.
     """
 
@@ -775,12 +740,13 @@ class PreparedSdp:
             [np.tile(per_block(g), len(g.blocks)) for g in self.groups]
         )
 
-    def _cone_objectives(self, objectives: np.ndarray, sign: float) -> np.ndarray:
-        """Block-order hvec objectives (k, n_cols), times sign, regrouped by
-        dimension and mapped to each group's dual cone coordinates."""
+    def _cone_objectives(self, objectives: np.ndarray) -> np.ndarray:
+        """Block-order hvec objectives (k, n_cols), negated for the IPM,
+        which minimizes, regrouped by dimension and mapped to each group's
+        dual cone coordinates."""
         # C order: row reductions over an instance must not see its
         # neighbours, and fancy indexing along columns can leave F order.
-        h = sign * np.ascontiguousarray(objectives[:, self._order])
+        h = -np.ascontiguousarray(objectives[:, self._order])
         k = len(h)
         return np.concatenate(
             [g.dual_coords(g.seg(h)).reshape(k, -1) for g in self.groups], axis=1
@@ -801,45 +767,31 @@ class PreparedSdp:
     def solve_with(
         self,
         objective,
-        objective_const: float = 0.0,
-        maximize: bool = True,
         gap_tol: float = DEFAULT_GAP_TOL,
         feas_tol: float = DEFAULT_FEAS_TOL,
         max_iter: int = DEFAULT_MAX_ITER,
     ) -> SdpSolution:
-        """Solve for one objective, given like a row of the constraint
+        """Maximize one objective, given like a row of the constraint
         matrix: the hvec coordinates of each block's coefficient, d_j^2 per
         block in block order. The result is a batch of one of solve_batch."""
-        objective = np.asarray(objective, dtype=np.float64)
-        if objective.shape != (self.n_cols,):
-            raise ValueError(f"expected an objective of {self.n_cols} hvec coordinates")
-        (sol,) = self._solve(
-            objective[None], objective_const, maximize, gap_tol, feas_tol, max_iter
+        (sol,) = self.solve_batch(
+            np.asarray(objective, dtype=np.float64)[None], gap_tol, feas_tol, max_iter
         )
         return sol
 
     def solve_batch(
         self,
         objectives,
-        objective_const: float = 0.0,
-        maximize: bool = True,
         gap_tol: float = DEFAULT_GAP_TOL,
         feas_tol: float = DEFAULT_FEAS_TOL,
         max_iter: int = DEFAULT_MAX_ITER,
     ) -> list:
-        """Solve for each row of ``objectives`` (k, n_cols), laid out as
-        for solve_with, in one IPM loop over all of them. Solution i is
-        bit for bit the one solve_with gives for objective i alone."""
+        """Maximize each row of ``objectives`` (k, n_cols), laid out as for
+        solve_with, in one IPM loop over all of them. Solution i is bit for
+        bit the one solve_with gives for objective i alone."""
         objectives = np.asarray(objectives, dtype=np.float64)
         if objectives.ndim != 2 or objectives.shape[1] != self.n_cols:
             raise ValueError(f"expected objectives of {self.n_cols} hvec coordinates")
-        return self._solve(
-            objectives, objective_const, maximize, gap_tol, feas_tol, max_iter
-        )
-
-    def _solve(
-        self, objectives, objective_const, maximize, gap_tol, feas_tol, max_iter
-    ) -> list:
         if not np.isfinite(objectives).all():
             raise ValueError("objectives must be finite")
         k_in = len(objectives)
@@ -861,7 +813,6 @@ class PreparedSdp:
                 for _ in range(k_in)
             ]
 
-        sign = -1.0 if maximize else 1.0
         a = self.a_red
         a_t = a.T
         b = self.b_red
@@ -872,7 +823,7 @@ class PreparedSdp:
 
         st = _Active()
         st.index = np.arange(k_in)
-        st.c = self._cone_objectives(objectives, sign)
+        st.c = self._cone_objectives(objectives)
         st.dinf_scale = 1.0 + np.sqrt(_rowdot(st.c, weight * st.c))
         st.x = np.tile(self._x_start, (k_in, 1))
         st.z = np.tile(self._z_start, (k_in, 1))
@@ -894,9 +845,7 @@ class PreparedSdp:
             iterate."""
             if x_row is None:
                 x_row, stats = st.best_x[i], st.best_stats[i]
-            out[st.index[i]] = self._solution(
-                x_row, stats, status, message, it, sign, objective_const
-            )
+            out[st.index[i]] = self._solution(x_row, stats, status, message, it)
 
         def retire(done: list) -> bool:
             """Drop the active instances in ``done``; True when none is left."""
@@ -1051,12 +1000,13 @@ class PreparedSdp:
             finish(i, STATUS_MAX_ITERATIONS, f"no convergence in {max_iter} iterations")
         return out
 
-    def _solution(self, x_row, stats, status, message, iterations, sign, objective_const):
+    def _solution(self, x_row, stats, status, message, iterations):
         """The SdpSolution of a primal iterate in cone coordinates, given its
-        (int_p, int_d, pinf, dinf)."""
+        (int_p, int_d, pinf, dinf) for the negated objective."""
         int_p, int_d, pinf, dinf = (float(v) for v in stats)
-        primal = sign * int_p + objective_const
-        dual = sign * int_d + objective_const
+        # 0.0 - v rather than -v: an exact zero stays +0.0.
+        primal = 0.0 - int_p
+        dual = 0.0 - int_d
         block_values = [None] * len(self.dims)
         for g in self.groups:
             mats = g.matrices(g.seg(x_row[None]))
@@ -1229,18 +1179,18 @@ def solve(
     feas_tol: float = DEFAULT_FEAS_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> SdpSolution:
-    """Solve one SdpProblem end to end."""
+    """Solve one SdpProblem end to end. A minimization maximizes the
+    negated objective; its values are negated back, objective_const is added
+    to both and the gap is taken between the results."""
     prep = PreparedSdp(problem.dims, *operator_rows(problem.dims, problem.constraints))
     # The objective in the layout of a constraint row.
     (objective,), _ = operator_rows(problem.dims, [(problem.objective, 0.0)])
-    return prep.solve_with(
-        objective,
-        objective_const=problem.objective_const,
-        maximize=problem.maximize,
-        gap_tol=gap_tol,
-        feas_tol=feas_tol,
-        max_iter=max_iter,
-    )
+    sign = 1.0 if problem.maximize else -1.0
+    sol = prep.solve_with(sign * objective, gap_tol, feas_tol, max_iter)
+    sol.primal_value = sign * sol.primal_value + problem.objective_const
+    sol.dual_value = sign * sol.dual_value + problem.objective_const
+    sol.gap = abs(sol.primal_value - sol.dual_value)
+    return sol
 
 
 def hermitian_hvec(mats) -> np.ndarray:

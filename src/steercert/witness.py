@@ -19,7 +19,9 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .linalg import HermitianOperator
-from .quantum import PAULIS, MeasurementSet, Povm, check_binary_qubit, noisy_singlet
+from .quantum import (
+    PAULIS, MeasurementSet, Povm, check_binary_qubit, noisy_singlet, random_axis,
+)
 from .sdp import STATUS_OPTIMAL, ProgramBuilder, hermitian_hvec, hvec
 from .tolerances import DEFAULT_FEAS_TOL, DEFAULT_GAP_TOL
 
@@ -219,9 +221,19 @@ class EnsembleResult:
     status: str
     gap: float
 
-    @property
-    def inconclusive(self) -> bool:
-        return self.status != STATUS_OPTIMAL
+
+def _add_parity_rows(builder: ProgramBuilder, scenario: Scenario, block) -> None:
+    """The mixing equivalences on 2x2 blocks: per constraint string r, the
+    blocks of the preparations on side 0 of r sum to those on side 1.
+    block(a, xi) is the block of preparation (a, x_strings[xi])."""
+    zero = HermitianOperator.zeros(2)
+    for r in scenario.constraint_strings:
+        terms = {
+            block(a, xi): 1.0 if scenario.parity_side(r, a, x) == 0 else -1.0
+            for a in (0, 1)
+            for xi, x in enumerate(scenario.x_strings)
+        }
+        builder.add_operator_equation(terms, zero)
 
 
 @lru_cache(maxsize=None)
@@ -236,11 +248,7 @@ def _ensemble_program(n: int):
     zero = HermitianOperator.zeros(2)
     for xi in range(n_x):
         builder.add_scalar_row({xi: ident, n_x + xi: ident}, 1.0)
-    for r in scenario.constraint_strings:
-        terms = {}
-        for pi, (a, x) in enumerate(preps):
-            terms[pi] = 1.0 if scenario.parity_side(r, a, x) == 0 else -1.0
-        builder.add_operator_equation(terms, zero)
+    _add_parity_rows(builder, scenario, lambda a, xi: a * n_x + xi)
     for xi in range(1, n_x):
         terms = {xi: 1.0, n_x + xi: 1.0, 0: -1.0, n_x: -1.0}
         builder.add_operator_equation(terms, zero)
@@ -272,9 +280,7 @@ def optimize_ensemble(
     # Preparation (a, x) scores sum_y B_{t_y|y} with target t = t(a, x);
     # the sum runs over y in order.
     coeffs = weight * effects[np.arange(scenario.n), targets].sum(axis=1)
-    sol = prepared.solve_with(
-        hvec(coeffs).ravel(), maximize=True, gap_tol=gap_tol, feas_tol=feas_tol
-    )
+    sol = prepared.solve_with(hvec(coeffs).ravel(), gap_tol=gap_tol, feas_tol=feas_tol)
     states = tuple(HermitianOperator(bv) for bv in sol.block_values)
     return EnsembleResult(
         value=sol.primal_value,
@@ -324,17 +330,9 @@ def _alice_program(n: int):
     n_x = len(scenario.x_strings)
     builder = ProgramBuilder([2] * (2 * n_x))
     ident = HermitianOperator(np.eye(2))
-    zero = HermitianOperator.zeros(2)
     for xi in range(n_x):
         builder.add_operator_equation({2 * xi: 1.0, 2 * xi + 1: 1.0}, ident)
-    for r in scenario.constraint_strings:
-        terms = {}
-        for xi, x in enumerate(scenario.x_strings):
-            for a in (0, 1):
-                terms[2 * xi + a] = (
-                    1.0 if scenario.parity_side(r, a, x) == 0 else -1.0
-                )
-        builder.add_operator_equation(terms, zero)
+    _add_parity_rows(builder, scenario, lambda a, xi: 2 * xi + a)
     targets = scenario.targets(
         [(a, x) for x in scenario.x_strings for a in (0, 1)]
     )
@@ -394,26 +392,14 @@ def _alice_objective(bob, rhot, scenario: Scenario, select) -> np.ndarray:
 def _random_sharp_alice(rng, n_x: int):
     mats = []
     for _ in range(n_x):
-        u = rng.normal(size=3)
-        norm = float(np.linalg.norm(u))
-        while norm < 1e-12:
-            u = rng.normal(size=3)
-            norm = float(np.linalg.norm(u))
-        u = u / norm
+        u = random_axis(rng)
         e = 0.5 * (np.eye(2) + sum(c * s.entries for c, s in zip(u, PAULIS)))
         mats.append(e.astype(np.complex128))
         mats.append(np.eye(2, dtype=np.complex128) - e)
     return mats
 
 
-def _alternate(
-    solve,
-    scenario: Scenario,
-    rhot,
-    select,
-    alice,
-    max_rounds: int = SEESAW_MAX_ROUNDS,
-) -> list:
+def _alternate(solve, scenario: Scenario, rhot, select, alice) -> list:
     """Alternate closed-form Bob updates with Alice effect SDPs, side by side
     for a stack of starting Alice strategies, each until its own value stops
     improving; a start leaves the stack when its alternation ends. ``solve``
@@ -430,7 +416,7 @@ def _alternate(
     results: list = [None] * k
     live = np.arange(k)
     settled: list = []
-    for _ in range(max_rounds):
+    for _ in range(SEESAW_MAX_ROUNDS):
         if not live.size:
             break
         bob, val_b = _bob_step(alice[live], rhot, scenario, select)
@@ -515,16 +501,10 @@ def seesaw_critical_visibility(
 
     def solve_one(objectives) -> list:
         (objective,) = objectives
-        return [
-            prepared.solve_with(
-                objective, maximize=True, gap_tol=gap_tol, feas_tol=feas_tol
-            )
-        ]
+        return [prepared.solve_with(objective, gap_tol=gap_tol, feas_tol=feas_tol)]
 
     def solve_stack(objectives) -> list:
-        return prepared.solve_batch(
-            objectives, maximize=True, gap_tol=gap_tol, feas_tol=feas_tol
-        )
+        return prepared.solve_batch(objectives, gap_tol=gap_tol, feas_tol=feas_tol)
 
     def rhot_at(v: float) -> np.ndarray:
         return noisy_singlet(v).entries.reshape(2, 2, 2, 2)
@@ -566,7 +546,6 @@ def seesaw_critical_visibility(
             states.append(rng.bit_generator.state)
         repairs = prepared.solve_batch(
             hvec(np.array(raw)).reshape(budget, -1),
-            maximize=True,
             gap_tol=gap_tol,
             feas_tol=feas_tol,
         )

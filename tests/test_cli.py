@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -109,6 +110,8 @@ _QUTRIT_SPLIT = [
     {"dim": 3, "entries": [[1.0, 0.0]] + [[0.0, 0.0]] * 8},
     {"dim": 3, "entries": [[0.0, 0.0]] * 4 + [[1.0, 0.0]] + [[0.0, 0.0]] * 3 + [[1.0, 0.0]]},
 ]
+# The Z/X pair, Incompatible: its critical visibility is 1/sqrt(2).
+_ZX = [[0.0, 0.0, 1.0, 1.0, 1.0], [1.0, 0.0, 0.0, 1.0, 1.0]]
 # One more setting than the certifiers accept (MAX_SETTINGS is 8).
 _NINE_SETTINGS = [[0.0, 0.0, 1.0, 1.0, 1.0]] * 9
 
@@ -130,6 +133,9 @@ _NINE_SETTINGS = [[0.0, 0.0, 1.0, 1.0, 1.0]] * 9
         ("conj1 --samples 0 --config", {"n": [3]}),
         ("nc-bound --n ,", None),
         ("vn-table --config", {"n": []}),
+        ("jm-check --gap-tol inf", {"bloch": _ZX}),
+        ("conj1 --samples 0 --config", {"feas_tol": math.inf}),
+        ("vn-table --bisect-tol inf", None),
         # Input that loads but that the certifiers reject.
         ("steer-check", {"assemblage": [[_HALF_IDENTITY]]}),
         (
@@ -158,6 +164,9 @@ _NINE_SETTINGS = [[0.0, 0.0, 1.0, 1.0, 1.0]] * 9
         "config-conj1-n-list",
         "nc-bound-n-empty",
         "config-vn-table-n-empty",
+        "jm-gap-tol-inf",
+        "config-feas-tol-inf",
+        "vn-table-bisect-tol-inf",
         "one-outcome",
         "qubit-state",
         "jm-nine-settings",

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from steercert import harness
 from steercert.harness import (
     ConfigError,
     ExperimentConfig,
@@ -119,6 +120,29 @@ def test_thread_count_does_not_change_records():
         return json.dumps(data, sort_keys=True)
 
     assert [strip(r) for r in records1] == [strip(r) for r in records2]
+
+
+def test_worker_count_is_capped_at_the_task_count(monkeypatch):
+    """A process pool starts all its workers at once, so a run asks for no
+    more than it has tasks. The fake pool starts no process."""
+    started = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+    assert harness._run_tasks(abs, [-1, -2, -3], threads=10_000) == [1, 2, 3]
+    assert started == [3]
 
 
 def test_vn_table_entry_and_outputs(tmp_path):

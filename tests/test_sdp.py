@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -218,6 +220,25 @@ def test_objective_constant_and_minimize():
     assert sol.primal_value == pytest.approx(lam_min + 2.5, abs=1e-7)
     # minimization: the dual certifies from below
     assert sol.dual_value <= sol.primal_value + 1e-8
+
+
+def test_solve_maps_a_minimization_onto_a_maximization():
+    """solve() of a minimization with a constant is, bit for bit, the
+    maximization of the negated objective with its values negated back and
+    shifted, and the gap taken between the shifted values."""
+    rng = np.random.default_rng(17)
+    for _ in range(12):
+        problem = random_feasible_problem(rng)
+        problem.maximize = False
+        problem.objective_const = float(rng.normal())
+        prep = PreparedSdp(problem.dims, *operator_rows(problem.dims, problem.constraints))
+        ref = prep.solve_with(-_objective(problem.dims, problem.objective))
+        primal = -ref.primal_value + problem.objective_const
+        dual = -ref.dual_value + problem.objective_const
+        expected = dataclasses.replace(
+            ref, primal_value=primal, dual_value=dual, gap=abs(primal - dual)
+        )
+        assert _solution_key(solve(problem)) == _solution_key(expected)
 
 
 def test_random_problems_weak_duality_and_feasibility():
@@ -579,14 +600,15 @@ def test_backtracking_admits_only_interior_rows():
 
 
 def test_program_without_equalities():
-    # min tr X1 + tr X2 + x3 over the cones: the optimum is 0.
+    # min tr X1 + tr X2 + x3 over the cones, as the maximum of its
+    # negation: the optimum is 0.
     prep = _without_rows((1, 2, 3))
     objective = [
         HermitianOperator([[1.0]]),
         HermitianOperator.identity(2),
         HermitianOperator.identity(3),
     ]
-    sol = prep.solve_with(_objective((1, 2, 3), objective), maximize=False)
+    sol = prep.solve_with(-_objective((1, 2, 3), objective))
     assert sol.status == STATUS_OPTIMAL
     assert sol.primal_value == pytest.approx(0.0, abs=1e-8)
 
@@ -802,16 +824,14 @@ def test_batch_instances_match_their_batch_of_one(name):
     prep = _batch_program(name)
     rng = np.random.default_rng(len(name))
     objectives = rng.normal(size=(6, prep.n_cols))
-    for maximize in (True, False):
-        alone = [
-            _solution_key(prep.solve_with(c, maximize=maximize)) for c in objectives
-        ]
+    for signed in (objectives, -objectives):
+        alone = [_solution_key(prep.solve_with(c)) for c in signed]
         assert len({key[2] for key in alone}) > 1
-        batch = prep.solve_batch(objectives, maximize=maximize)
+        batch = prep.solve_batch(signed)
         assert [_solution_key(sol) for sol in batch] == alone
-        batch = prep.solve_batch(objectives[::-1], maximize=maximize)[::-1]
+        batch = prep.solve_batch(signed[::-1])[::-1]
         assert [_solution_key(sol) for sol in batch] == alone
-        pair = prep.solve_batch(objectives[2:4], maximize=maximize)
+        pair = prep.solve_batch(signed[2:4])
         assert [_solution_key(sol) for sol in pair] == alone[2:4]
     if name == "mixed":
         assert STATUS_NUMERICAL_FAILURE in {key[0] for key in alone}
