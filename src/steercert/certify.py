@@ -6,6 +6,14 @@ visibility v at which the depolarized target (measurement set or
 assemblage) still admits the classical parent structure, capped at 1. A
 verdict is only issued when the solver converged; the compatibility side
 additionally requires the optimum to clear 1 by the verdict margin.
+
+Depolarizing composes, depolarize(depolarize(S, p), w) = depolarize(S, p w),
+for measurements (noise I/2) and assemblages (noise tr sigma I/2) alike. So
+for w in (0, 1] the capped critical visibility transports exactly,
+crit(depolarize(S, w)) = min(1, crit(S) / w), also when the cap binds
+(crit(S) = 1 means the uncapped optimum is at least 1 >= w).
+CertificationReport.depolarized applies this to a solved report and gives
+the report of the depolarized target without another solve.
 """
 
 from __future__ import annotations
@@ -31,6 +39,21 @@ MAX_SETTINGS = 8
 
 _HALF = 0.5 * np.eye(2, dtype=np.complex128)
 
+# Verdict pair (target admits the parent structure, it does not) per kind.
+_VERDICTS = {
+    KIND_JOINT_MEASURABILITY: ("Compatible", "Incompatible"),
+    KIND_LOCAL_HIDDEN_STATE: ("Unsteerable", "Steerable"),
+}
+
+
+def _verdict(kind: str, status: str, crit: float, gap_tol: float) -> str:
+    """Inconclusive unless the solve converged; otherwise the kind's yes
+    verdict when crit clears 1 by the verdict margin, else its no."""
+    if status != STATUS_OPTIMAL:
+        return "Inconclusive"
+    yes, no = _VERDICTS[kind]
+    return yes if crit >= 1.0 - VERDICT_MARGIN_FACTOR * gap_tol else no
+
 
 @dataclass(frozen=True)
 class CertificationReport:
@@ -39,6 +62,24 @@ class CertificationReport:
     verdict: str
     status: str
     solver_gap: float
+
+    def depolarized(
+        self, w: float, gap_tol: float = DEFAULT_GAP_TOL
+    ) -> "CertificationReport":
+        """The report of this report's target depolarized to visibility w,
+        without a solve: critical visibility min(1, crit / w), the same
+        status, the solver gap scaled by 1 / w and the verdict recomputed.
+        Raises ValueError unless 0 < w <= 1."""
+        if not 0.0 < w <= 1.0:
+            raise ValueError(f"visibility must lie in (0, 1], got {w!r}")
+        crit = min(1.0, self.critical_visibility / w)
+        return CertificationReport(
+            kind=self.kind,
+            critical_visibility=crit,
+            verdict=_verdict(self.kind, self.status, crit, gap_tol),
+            status=self.status,
+            solver_gap=self.solver_gap / w,
+        )
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -72,17 +113,17 @@ def check_lhs_input(assemblage: Assemblage) -> None:
 
 
 def _parent_search(
-    pairs, kind: str, yes: str, no: str, gap_tol: float, feas_tol: float
+    pairs, kind: str, gap_tol: float, feas_tol: float
 ) -> CertificationReport:
     """Largest v at which PSD parent blocks G_lam, one per response string
     lam in {0,1}^n, reproduce v T + (1 - v) N for each 2x2 (target, noise)
     pair (T, N) of ``pairs``, capped at 1.
 
     Pair 0 fixes the sum over all lam and pair x + 1 the sum over lam_x = 0:
-    sum G_lam - v (T - N) = N. A slack s with v + s = 1 caps v. Verdict
-    ``yes`` means the target itself (v = 1) admits the parent structure
-    within the verdict margin, ``no`` that it does not; a solve that did
-    not converge is Inconclusive.
+    sum G_lam - v (T - N) = N. A slack s with v + s = 1 caps v. The
+    verdict is the kind's yes when the target itself (v = 1) admits the
+    parent structure within the verdict margin, its no when it does not;
+    a solve that did not converge is Inconclusive.
     """
     lams = list(itertools.product((0, 1), repeat=len(pairs) - 1))
     n_l = len(lams)
@@ -102,16 +143,10 @@ def _parent_search(
         objective, gap_tol=gap_tol, feas_tol=feas_tol
     )
     crit = min(1.0, max(0.0, sol.primal_value))
-    if sol.status != STATUS_OPTIMAL:
-        verdict = "Inconclusive"
-    elif crit >= 1.0 - VERDICT_MARGIN_FACTOR * gap_tol:
-        verdict = yes
-    else:
-        verdict = no
     return CertificationReport(
         kind=kind,
         critical_visibility=crit,
-        verdict=verdict,
+        verdict=_verdict(kind, sol.status, crit, gap_tol),
         status=sol.status,
         solver_gap=sol.gap,
     )
@@ -133,9 +168,7 @@ def jm_critical_visibility(
     check_jm_input(mset)
     ident = np.eye(2)
     pairs = [(ident, ident)] + [(povm[0].entries, _HALF) for povm in mset.settings]
-    return _parent_search(
-        pairs, KIND_JOINT_MEASURABILITY, "Compatible", "Incompatible", gap_tol, feas_tol
-    )
+    return _parent_search(pairs, KIND_JOINT_MEASURABILITY, gap_tol, feas_tol)
 
 
 def lhs_critical_visibility(
@@ -155,9 +188,7 @@ def lhs_critical_visibility(
     for x in range(assemblage.n_settings):
         sigma = assemblage[0, x].entries
         pairs.append((sigma, float(np.trace(sigma).real) * _HALF))
-    return _parent_search(
-        pairs, KIND_LOCAL_HIDDEN_STATE, "Unsteerable", "Steerable", gap_tol, feas_tol
-    )
+    return _parent_search(pairs, KIND_LOCAL_HIDDEN_STATE, gap_tol, feas_tol)
 
 
 def pair_jm_oracle(mset: MeasurementSet) -> float:

@@ -57,18 +57,28 @@ PROBE_STEP = 1e-3
 # winning probability is 1/2 and the ensemble's equalities fix its total
 # weight, so the value is exactly 1/2.
 TRIVIAL_BASELINE = 0.5
+# The files a run with an output prefix writes, by suffix.
+_OUT_SUFFIXES = (".jsonl", ".summary.json", ".summary.csv")
+
 
 class ConfigError(ValueError):
     """Raised for configurations the harness refuses to run."""
 
 
 def _converted(kind, name: str, value):
-    """value as an int or a float, or a ConfigError naming the field."""
+    """value as an int or a float, or a ConfigError naming the field.
+    Booleans are refused, and an int field takes a float only when it is
+    integral: int() would truncate 2.7 to 2."""
+    what = "an integer" if kind is int else "a number"
+    error = ConfigError(f"{name} must be {what}, got {value!r}")
+    if isinstance(value, bool) or (
+        kind is int and isinstance(value, float) and not value.is_integer()
+    ):
+        raise error
     try:
         return kind(value)
     except (TypeError, ValueError):
-        what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{name} must be {what}, got {value!r}") from None
+        raise error from None
 
 
 def sample_seed(master_seed: int, index: int) -> int:
@@ -82,6 +92,22 @@ def sample_seed(master_seed: int, index: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
     return (z ^ (z >> 31)) & MASK64
+
+
+def _check_out_prefix(out) -> None:
+    """Raise ConfigError unless the outputs under prefix ``out`` can be
+    written, without creating anything: the nearest existing ancestor of
+    their directory must be a directory, and no output path a directory."""
+    if not isinstance(out, str):
+        raise ConfigError(f"out must be a path prefix, got {out!r}")
+    directory = os.path.dirname(os.path.abspath(out))
+    while not os.path.exists(directory):
+        directory = os.path.dirname(directory)
+    if not os.path.isdir(directory):
+        raise ConfigError(f"cannot write under {out!r}: {directory} is not a directory")
+    for suffix in _OUT_SUFFIXES:
+        if os.path.isdir(out + suffix):
+            raise ConfigError(f"cannot write {out + suffix}: it is a directory")
 
 
 @dataclass
@@ -122,6 +148,8 @@ class ExperimentConfig:
         if self.experiment in ("jm_check", "steer_check", "witness_opt"):
             if not self.input_path:
                 raise ConfigError(f"{self.experiment} needs an input file")
+        if self.out:
+            _check_out_prefix(self.out)
 
     def _n_list(self, default) -> tuple:
         """The setting counts of a table run, sorted and without repeats."""
@@ -253,15 +281,15 @@ def _conjecture1_sample(args) -> SampleRecord:
         if post:
             # The dual value upper-bounds the true optimum, so the derived
             # visibility under-shoots the exact threshold and the verdict
-            # at it is robust to solver error.
+            # at it is robust to solver error. One JM solve at the probe
+            # answers both: the set at v is the probe's set depolarized by
+            # v / probe, and the capped critical visibility transports.
             v = threshold_visibility(res.dual_value, TRIVIAL_BASELINE, n)
             probe = min(1.0, v + PROBE_STEP)
-            rep_v = jm_critical_visibility(
-                depolarize_measurements(mset, v), gap_tol, feas_tol
-            )
             rep_p = jm_critical_visibility(
                 depolarize_measurements(mset, probe), gap_tol, feas_tol
             )
+            rep_v = rep_p.depolarized(v / probe, gap_tol)
             record.threshold_v = v
             record.probe_v = probe
             record.verdict_at_threshold = rep_v.verdict
@@ -343,6 +371,9 @@ def _run_tasks(worker, tasks, threads: int) -> list:
 def run_conjecture1(config: ExperimentConfig):
     """Sample random measurement sets, locate witness violations, and
     certify joint measurability at the derived visibility and just above.
+    One JM solve per post-selected sample, at the probe, gives both
+    verdicts; the one at the threshold is carried down by
+    CertificationReport.depolarized.
 
     Per-sample errors are recorded on the sample and never abort the run.
     """
@@ -617,16 +648,17 @@ def _write_outputs(out: str | None, summary: RunSummary, records: list) -> None:
         return
     directory = os.path.dirname(os.path.abspath(out))
     os.makedirs(directory, exist_ok=True)
-    with open(out + ".jsonl", "w", encoding="utf-8") as fh:
+    jsonl, summary_json, summary_csv = (out + suffix for suffix in _OUT_SUFFIXES)
+    with open(jsonl, "w", encoding="utf-8") as fh:
         for rec in records:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
-    with open(out + ".summary.json", "w", encoding="utf-8") as fh:
+    with open(summary_json, "w", encoding="utf-8") as fh:
         json.dump(summary.to_json(), fh, indent=2, sort_keys=True)
         fh.write("\n")
     count_keys = sorted(summary.counts)
     fieldnames = ["n", "estimate", "bracket_lo", "bracket_hi"] + count_keys
     rows = summary.estimates or [{}]
-    with open(out + ".summary.csv", "w", encoding="utf-8", newline="") as fh:
+    with open(summary_csv, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
         for row in rows:

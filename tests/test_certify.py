@@ -93,6 +93,33 @@ def test_depolarizing_scales_critical_visibility():
     assert abs(scaled.critical_visibility - min(1.0, base / w)) < 1e-6
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_depolarized_report_matches_a_direct_solve(n):
+    # Sharp measurements on random axes: incompatible, so w = 0.9 and 1 leave
+    # the visibility below the cap and w = 0.5 lifts it to the cap.
+    mset = _sharp_set(*np.random.default_rng(4100 + n).normal(size=(n, 3)))
+    targets = [
+        (jm_critical_visibility, lambda w: depolarize_measurements(mset, w)),
+        (lhs_critical_visibility, lambda w: assemblage_from(noisy_singlet(w), mset)),
+    ]
+    for certifier, depolarized in targets:
+        rep = certifier(depolarized(1.0))
+        for w in (0.5, 0.7, 0.9, 1.0):
+            moved = rep.depolarized(w)
+            direct = certifier(depolarized(w))
+            assert abs(moved.critical_visibility - direct.critical_visibility) <= 1e-9
+            assert moved.status == direct.status
+            assert moved.verdict == direct.verdict
+            assert moved.kind == direct.kind
+
+
+@pytest.mark.parametrize("w", [0.0, -0.1, 1.5, float("nan")])
+def test_depolarized_report_refuses_visibilities_outside_the_unit_interval(w):
+    rep = jm_critical_visibility(_sharp_set((0, 0, 1), (1, 0, 0)))
+    with pytest.raises(ValueError):
+        rep.depolarized(w)
+
+
 def test_unitary_covariance():
     rng = np.random.default_rng(13)
     _, mset = sample_random_povm_set(rng, 2)

@@ -136,6 +136,14 @@ _NINE_SETTINGS = [[0.0, 0.0, 1.0, 1.0, 1.0]] * 9
         ("jm-check --gap-tol inf", {"bloch": _ZX}),
         ("conj1 --samples 0 --config", {"feas_tol": math.inf}),
         ("vn-table --bisect-tol inf", None),
+        ("conj1 --config", {"samples": 2.7}),
+        ("conj1 --samples 0 --config", {"seed": 1.5}),
+        ("conj1 --samples 0 --config", {"n": 3.5}),
+        ("conj1 --samples 0 --config", {"threads": True}),
+        # An output prefix that cannot be written: under the input file, and
+        # one whose .jsonl path is the directory the test makes.
+        ("jm-check --out {tmp}/bad.json/x", {"bloch": _ZX}),
+        ("conj1 --samples 2 --out {tmp}/run", None),
         # Input that loads but that the certifiers reject.
         ("steer-check", {"assemblage": [[_HALF_IDENTITY]]}),
         (
@@ -167,6 +175,12 @@ _NINE_SETTINGS = [[0.0, 0.0, 1.0, 1.0, 1.0]] * 9
         "jm-gap-tol-inf",
         "config-feas-tol-inf",
         "vn-table-bisect-tol-inf",
+        "config-samples-fractional",
+        "config-seed-fractional",
+        "config-conj1-n-fractional",
+        "config-threads-bool",
+        "out-under-a-file",
+        "out-is-a-directory",
         "one-outcome",
         "qubit-state",
         "jm-nine-settings",
@@ -176,7 +190,10 @@ _NINE_SETTINGS = [[0.0, 0.0, 1.0, 1.0, 1.0]] * 9
     ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, command, data):
-    argv = command.split()
+    # {tmp} in a command is tmp_path, which holds the input file bad.json
+    # and a directory run.jsonl.
+    (tmp_path / "run.jsonl").mkdir()
+    argv = [arg.format(tmp=tmp_path) for arg in command.split()]
     if data is not None:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))

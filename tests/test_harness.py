@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from steercert import harness
+from steercert.certify import jm_critical_visibility
 from steercert.harness import (
     ConfigError,
     ExperimentConfig,
@@ -19,6 +20,7 @@ from steercert.harness import (
     run_witness_opt,
     sample_seed,
 )
+from steercert.quantum import depolarize_measurements, sample_random_povm_set
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -99,6 +101,33 @@ def test_conjecture1_iteration_tail_sample_reaches_optimal():
     rec = records[3]
     assert rec.error is None
     assert rec.solver_status == "Optimal"
+
+
+def test_conjecture1_solves_jm_once_per_post_selected_sample(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return jm_critical_visibility(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "jm_critical_visibility", counted)
+    post_selected = []
+    for n in (3, 4):
+        cfg = ExperimentConfig(experiment="conjecture1", n=n, samples=30, seed=1)
+        summary, records = run_conjecture1(cfg)
+        assert summary.counts["errors"] == 0
+        post_selected += [rec for rec in records if rec.post_selected]
+    monkeypatch.undo()
+    assert post_selected
+    assert len(calls) == len(post_selected)
+    for rec in post_selected:
+        _, mset = sample_random_povm_set(np.random.default_rng(rec.seed), rec.n)
+        for at in ("threshold", "probe"):
+            v = getattr(rec, f"{at}_v")
+            direct = jm_critical_visibility(depolarize_measurements(mset, v))
+            crit = getattr(rec, f"jm_crit_at_{at}")
+            assert abs(crit - direct.critical_visibility) <= 1e-9
+            assert getattr(rec, f"verdict_at_{at}") == direct.verdict
 
 
 def test_conjecture1_zero_samples():
