@@ -5,7 +5,10 @@ Every run is driven by an ExperimentConfig. Sampling runs expand the master
 seed into one 64-bit seed per sample with a splitmix64 step, so each sample
 is an independent pure function of its seed; records come back in sample
 order no matter how many worker processes execute them, and rerunning any
-configuration reproduces the records exactly (wall-time fields aside).
+configuration reproduces the records exactly (wall-time fields aside). The
+conjecture scan hands its samples to workers in fixed chunks of consecutive
+indices (CONJ1_CHUNK) and solves each chunk's ensemble programs in one
+batched IPM run; a batched instance is bit for bit its solve alone.
 """
 
 from __future__ import annotations
@@ -57,6 +60,10 @@ PROBE_STEP = 1e-3
 # winning probability is 1/2 and the ensemble's equalities fix its total
 # weight, so the value is exactly 1/2.
 TRIVIAL_BASELINE = 0.5
+# conj1 samples per batched ensemble solve. Chunks are runs of consecutive
+# sample indices whatever the worker count, so records do not depend on
+# --threads; each sample's solve is bit for bit its solve alone.
+CONJ1_CHUNK = 16
 # The files a run with an output prefix writes, by suffix.
 _OUT_SUFFIXES = (".jsonl", ".summary.json", ".summary.csv")
 
@@ -144,6 +151,9 @@ class ExperimentConfig:
             self.restarts = _converted(int, "restarts", self.restarts)
             if self.restarts < 1:
                 raise ConfigError("restarts must be at least 1")
+        # Any string is truthy, so {"full": "no"} would run the slow table.
+        if not isinstance(self.full, bool):
+            raise ConfigError(f"full must be true or false, got {self.full!r}")
         self.n = self._normalize_n()
         if self.experiment in ("jm_check", "steer_check", "witness_opt"):
             if not self.input_path:
@@ -255,60 +265,117 @@ class RunSummary:
 # -- sample workers (top level so process pools can import them) ------------
 
 
-def _conjecture1_sample(args) -> SampleRecord:
-    index, seed, n, gap_tol, feas_tol = args
-    start = time.perf_counter()
-    try:
-        rng = np.random.default_rng(seed)
-        params, mset = sample_random_povm_set(rng, n)
-        scenario = Scenario(n)
-        res = optimize_ensemble(scenario, mset, gap_tol=gap_tol, feas_tol=feas_tol)
-        bound = noncontextual_bound(n)
-        post = res.status == STATUS_OPTIMAL and res.value > bound + POST_SELECT_MARGIN
-        record = SampleRecord(
-            sample_index=index,
-            seed=seed,
-            n=n,
-            post_selected=post,
-            wall_time=0.0,
-            bloch=params.to_json(),
-            witness_value=res.value,
-            witness_dual=res.dual_value,
-            solver_status=res.status,
-            solver_gap=res.gap,
-            baseline=TRIVIAL_BASELINE,
+def _error_record(index: int, seed: int, n: int, exc: Exception) -> SampleRecord:
+    return SampleRecord(
+        sample_index=index,
+        seed=seed,
+        n=n,
+        post_selected=False,
+        wall_time=0.0,
+        error=f"{type(exc).__name__}: {exc}",
+    )
+
+
+def _conjecture1_record(index, seed, n, params, mset, res, gap_tol, feas_tol):
+    """The record of one sample from its ensemble result; a post-selected
+    sample makes its one JM solve here."""
+    post = (
+        res.status == STATUS_OPTIMAL
+        and res.value > noncontextual_bound(n) + POST_SELECT_MARGIN
+    )
+    record = SampleRecord(
+        sample_index=index,
+        seed=seed,
+        n=n,
+        post_selected=post,
+        wall_time=0.0,
+        bloch=params.to_json(),
+        witness_value=res.value,
+        witness_dual=res.dual_value,
+        solver_status=res.status,
+        solver_gap=res.gap,
+        baseline=TRIVIAL_BASELINE,
+    )
+    if post:
+        # The dual value upper-bounds the true optimum, so the derived
+        # visibility under-shoots the exact threshold and the verdict
+        # at it is robust to solver error. One JM solve at the probe
+        # answers both: the set at v is the probe's set depolarized by
+        # v / probe, and the capped critical visibility transports.
+        v = threshold_visibility(res.dual_value, TRIVIAL_BASELINE, n)
+        probe = min(1.0, v + PROBE_STEP)
+        rep_p = jm_critical_visibility(
+            depolarize_measurements(mset, probe), gap_tol, feas_tol
         )
-        if post:
-            # The dual value upper-bounds the true optimum, so the derived
-            # visibility under-shoots the exact threshold and the verdict
-            # at it is robust to solver error. One JM solve at the probe
-            # answers both: the set at v is the probe's set depolarized by
-            # v / probe, and the capped critical visibility transports.
-            v = threshold_visibility(res.dual_value, TRIVIAL_BASELINE, n)
-            probe = min(1.0, v + PROBE_STEP)
-            rep_p = jm_critical_visibility(
-                depolarize_measurements(mset, probe), gap_tol, feas_tol
-            )
-            rep_v = rep_p.depolarized(v / probe, gap_tol)
-            record.threshold_v = v
-            record.probe_v = probe
-            record.verdict_at_threshold = rep_v.verdict
-            record.verdict_at_probe = rep_p.verdict
-            record.jm_crit_at_threshold = rep_v.critical_visibility
-            record.jm_crit_at_probe = rep_p.critical_visibility
-            record.jm_gap_at_threshold = rep_v.solver_gap
-            record.jm_gap_at_probe = rep_p.solver_gap
-    except Exception as exc:
-        record = SampleRecord(
-            sample_index=index,
-            seed=seed,
-            n=n,
-            post_selected=False,
-            wall_time=0.0,
-            error=f"{type(exc).__name__}: {exc}",
-        )
-    record.wall_time = time.perf_counter() - start
+        rep_v = rep_p.depolarized(v / probe, gap_tol)
+        record.threshold_v = v
+        record.probe_v = probe
+        record.verdict_at_threshold = rep_v.verdict
+        record.verdict_at_probe = rep_p.verdict
+        record.jm_crit_at_threshold = rep_v.critical_visibility
+        record.jm_crit_at_probe = rep_p.critical_visibility
+        record.jm_gap_at_threshold = rep_v.solver_gap
+        record.jm_gap_at_probe = rep_p.solver_gap
     return record
+
+
+def _ensemble_results(n: int, sets: list, gap_tol: float, feas_tol: float) -> list:
+    """optimize_ensemble of each set, or the exception its check or solve
+    raised. The sets go in one batch; should the batch raise, each set is
+    solved alone, so one set's exception leaves the others the results
+    they get in the batch (an instance is bit for bit its solve alone)."""
+    scenario = Scenario(n)
+    try:
+        return optimize_ensemble(scenario, sets, gap_tol=gap_tol, feas_tol=feas_tol)
+    except Exception:
+        pass
+    results = []
+    for mset in sets:
+        try:
+            results.append(
+                optimize_ensemble(scenario, mset, gap_tol=gap_tol, feas_tol=feas_tol)
+            )
+        except Exception as exc:
+            results.append(exc)
+    return results
+
+
+def _conjecture1_chunk(args) -> list:
+    """The records of one chunk of samples, given as (index, seed) pairs.
+
+    Each sample draws its set alone, the sets drawn share one batched
+    ensemble solve, and each post-selected sample then makes its own JM
+    solve. A sample whose draw, check, solve or JM step raises gets an
+    error record and leaves the chunk; the others keep their records. A
+    record's wall_time is its own draw and JM time plus an equal share of
+    the batched solve."""
+    samples, n, gap_tol, feas_tol = args
+    records: dict = {}
+    drawn: list = []
+    for index, seed in samples:
+        start = time.perf_counter()
+        try:
+            params, mset = sample_random_povm_set(np.random.default_rng(seed), n)
+            drawn.append((index, seed, params, mset, time.perf_counter() - start))
+        except Exception as exc:
+            records[index] = _error_record(index, seed, n, exc)
+            records[index].wall_time = time.perf_counter() - start
+    start = time.perf_counter()
+    results = _ensemble_results(n, [d[3] for d in drawn], gap_tol, feas_tol)
+    share = (time.perf_counter() - start) / max(1, len(drawn))
+    for (index, seed, params, mset, own), res in zip(drawn, results):
+        start = time.perf_counter()
+        try:
+            if isinstance(res, Exception):
+                raise res
+            record = _conjecture1_record(
+                index, seed, n, params, mset, res, gap_tol, feas_tol
+            )
+        except Exception as exc:
+            record = _error_record(index, seed, n, exc)
+        record.wall_time = own + share + time.perf_counter() - start
+        records[index] = record
+    return [records[index] for index, _ in samples]
 
 
 def _vn_entry(args) -> dict:
@@ -371,21 +438,32 @@ def _run_tasks(worker, tasks, threads: int) -> list:
 def run_conjecture1(config: ExperimentConfig):
     """Sample random measurement sets, locate witness violations, and
     certify joint measurability at the derived visibility and just above.
-    One JM solve per post-selected sample, at the probe, gives both
-    verdicts; the one at the threshold is carried down by
-    CertificationReport.depolarized.
+
+    Samples go in chunks of CONJ1_CHUNK consecutive indices, and worker
+    processes take whole chunks. A chunk's ensemble programs are solved in
+    one batched optimize_ensemble call, each bit for bit as it would be
+    alone, so records do not depend on the chunk size or --threads. One JM
+    solve per post-selected sample, at the probe, gives both verdicts; the
+    one at the threshold is carried down by CertificationReport.depolarized.
+    ``counts["ensemble_not_optimal"]`` counts the samples whose ensemble
+    solve ended short of Optimal.
 
     Per-sample errors are recorded on the sample and never abort the run.
     """
     start = time.perf_counter()
     n = config.n
+    seeds = [(i, sample_seed(config.seed, i)) for i in range(config.samples)]
     tasks = [
-        (i, sample_seed(config.seed, i), n, config.gap_tol, config.feas_tol)
-        for i in range(config.samples)
+        (seeds[i : i + CONJ1_CHUNK], n, config.gap_tol, config.feas_tol)
+        for i in range(0, len(seeds), CONJ1_CHUNK)
     ]
-    records = _run_tasks(_conjecture1_sample, tasks, config.threads)
+    records = [
+        rec for chunk in _run_tasks(_conjecture1_chunk, tasks, config.threads)
+        for rec in chunk
+    ]
     counts = {
         "sampled": len(records),
+        "ensemble_not_optimal": 0,
         "post_selected": 0,
         "compatible_at_threshold": 0,
         "incompatible_at_threshold": 0,
@@ -398,6 +476,8 @@ def run_conjecture1(config: ExperimentConfig):
     for rec in records:
         if rec.error is not None:
             counts["errors"] += 1
+        elif rec.solver_status != STATUS_OPTIMAL:
+            counts["ensemble_not_optimal"] += 1
         if not rec.post_selected:
             continue
         counts["post_selected"] += 1

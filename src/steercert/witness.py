@@ -257,10 +257,10 @@ def _ensemble_program(n: int):
 
 def optimize_ensemble(
     scenario: Scenario,
-    bob: MeasurementSet,
+    bob,
     gap_tol: float = DEFAULT_GAP_TOL,
     feas_tol: float = DEFAULT_FEAS_TOL,
-) -> EnsembleResult:
+):
     """Best witness value over qubit preparation ensembles satisfying the
     mixing equivalences, for fixed Bob measurements.
 
@@ -270,25 +270,45 @@ def optimize_ensemble(
     of bit a in setting x and the two traces of a setting sum to one.
     Preparations may not signal the removed setting bit. The returned
     states follow the scenario's preparation order.
+
+    ``bob`` is one MeasurementSet, which gives one EnsembleResult, or a
+    sequence of them, which gives a list of results in the same order.
+    Every set of n settings shares one cached program and differs only in
+    its objective, so a sequence is solved in one batched IPM run
+    (PreparedSdp.solve_batch), and each result is bit for bit the one its
+    set gets alone. A single set is a batch of one.
     """
-    if bob.n != scenario.n:
-        raise ValueError("measurement count does not match the scenario")
-    check_binary_qubit(bob)
+    single = isinstance(bob, MeasurementSet)
+    sets = [bob] if single else list(bob)
+    for mset in sets:
+        if mset.n != scenario.n:
+            raise ValueError("measurement count does not match the scenario")
+        check_binary_qubit(mset)
+    if not sets:
+        return []
     cached_scenario, prepared, targets = _ensemble_program(scenario.n)
     weight = 1.0 / (scenario.n * len(cached_scenario.x_strings))
-    effects = np.array([[e.entries for e in povm.effects] for povm in bob.settings])
-    # Preparation (a, x) scores sum_y B_{t_y|y} with target t = t(a, x);
-    # the sum runs over y in order.
-    coeffs = weight * effects[np.arange(scenario.n), targets].sum(axis=1)
-    sol = prepared.solve_with(hvec(coeffs).ravel(), gap_tol=gap_tol, feas_tol=feas_tol)
-    states = tuple(HermitianOperator(bv) for bv in sol.block_values)
-    return EnsembleResult(
-        value=sol.primal_value,
-        dual_value=sol.dual_value,
-        states=states,
-        status=sol.status,
-        gap=sol.gap,
-    )
+    settings = np.arange(scenario.n)
+
+    def scores(mset: MeasurementSet) -> np.ndarray:
+        # Preparation (a, x) scores sum_y B_{t_y|y} with target
+        # t = t(a, x); the sum runs over y in order.
+        effects = np.array([[e.entries for e in p.effects] for p in mset.settings])
+        return weight * effects[settings, targets].sum(axis=1)
+
+    objectives = hvec(np.array([scores(mset) for mset in sets])).reshape(len(sets), -1)
+    sols = prepared.solve_batch(objectives, gap_tol=gap_tol, feas_tol=feas_tol)
+    results = [
+        EnsembleResult(
+            value=sol.primal_value,
+            dual_value=sol.dual_value,
+            states=tuple(HermitianOperator(bv) for bv in sol.block_values),
+            status=sol.status,
+            gap=sol.gap,
+        )
+        for sol in sols
+    ]
+    return results[0] if single else results
 
 
 def threshold_visibility(witness_value: float, baseline: float, n: int) -> float:

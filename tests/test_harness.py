@@ -21,6 +21,8 @@ from steercert.harness import (
     sample_seed,
 )
 from steercert.quantum import depolarize_measurements, sample_random_povm_set
+from steercert.tolerances import DEFAULT_FEAS_TOL, DEFAULT_GAP_TOL
+from steercert.witness import Scenario, optimize_ensemble
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -46,6 +48,13 @@ def test_config_validation():
     assert cfg.n == (2, 3, 4, 5, 6, 7)
     cfg = ExperimentConfig(experiment="nc_bound")
     assert cfg.n == (2, 3, 4)
+
+
+@pytest.mark.parametrize("full", ["no", "false", 0, 1, None])
+def test_config_full_must_be_a_boolean(full):
+    # Any non-empty string is truthy: {"full": "no"} would run n=6,7.
+    with pytest.raises(ConfigError, match="full"):
+        ExperimentConfig(experiment="vn_table", full=full)
 
 
 def test_config_round_trip():
@@ -88,6 +97,85 @@ def test_conjecture1_small_run():
     )
     assert summary.ok
     assert c["errors"] == 0
+    assert c["ensemble_not_optimal"] == 0
+
+
+def _stripped(rec) -> str:
+    data = rec.to_json()
+    data.pop("wall_time")
+    return json.dumps(data, sort_keys=True)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_conjecture1_chunks_match_per_sample_solves(n):
+    """Two full chunks and a partial one, in one process and in three: every
+    record is the one a batch-of-one ensemble solve of its seed gives."""
+    samples = 2 * harness.CONJ1_CHUNK + 3
+    expected = []
+    for i in range(samples):
+        seed = sample_seed(11, i)
+        params, mset = sample_random_povm_set(np.random.default_rng(seed), n)
+        res = optimize_ensemble(Scenario(n), mset)
+        rec = harness._conjecture1_record(
+            i, seed, n, params, mset, res, DEFAULT_GAP_TOL, DEFAULT_FEAS_TOL
+        )
+        expected.append(_stripped(rec))
+    assert any('"post_selected": true' in rec for rec in expected)
+    for threads in (1, 3):
+        cfg = ExperimentConfig(
+            experiment="conjecture1", n=n, samples=samples, seed=11, threads=threads
+        )
+        _, records = run_conjecture1(cfg)
+        assert [_stripped(rec) for rec in records] == expected
+
+
+@pytest.mark.parametrize(
+    "fault, error",
+    [
+        ("draw", "RuntimeError: draw failed"),
+        ("check", "ValueError: measurement count does not match the scenario"),
+    ],
+)
+def test_conjecture1_error_stays_with_its_sample(monkeypatch, fault, error):
+    """Sample 5, in the middle of the first chunk, fails its draw or hands
+    the batched solve a set its check refuses."""
+    cfg = ExperimentConfig(
+        experiment="conjecture1", n=3, samples=harness.CONJ1_CHUNK + 2, seed=4
+    )
+    _, clean = run_conjecture1(cfg)
+    bad = sample_seed(4, 5)
+
+    def draw(rng, n):
+        if rng.bit_generator.seed_seq.entropy != bad:
+            return sample_random_povm_set(rng, n)
+        if fault == "draw":
+            raise RuntimeError("draw failed")
+        return sample_random_povm_set(rng, n - 1)
+
+    monkeypatch.setattr(harness, "sample_random_povm_set", draw)
+    summary, records = run_conjecture1(cfg)
+    assert summary.counts["errors"] == 1 and not summary.ok
+    assert records[5].error == error
+    assert not records[5].post_selected and records[5].witness_value is None
+    others = [i for i in range(len(records)) if i != 5]
+    assert [_stripped(records[i]) for i in others] == [
+        _stripped(clean[i]) for i in others
+    ]
+
+
+def test_conjecture1_counts_ensemble_solves_short_of_optimal():
+    # A feasibility tolerance below what double precision reaches: the
+    # solves stop short of Optimal, and some may raise inside the IPM. A
+    # batch that raises is solved set by set, so each sample keeps its own
+    # outcome.
+    cfg = ExperimentConfig(
+        experiment="conjecture1", n=3, samples=4, seed=1, feas_tol=1e-17
+    )
+    summary, records = run_conjecture1(cfg)
+    short = [r for r in records if r.error is None and r.solver_status != "Optimal"]
+    assert short
+    assert summary.counts["ensemble_not_optimal"] == len(short)
+    assert summary.counts["errors"] == len(records) - len(short)
 
 
 def test_conjecture1_iteration_tail_sample_reaches_optimal():
@@ -142,13 +230,7 @@ def test_thread_count_does_not_change_records():
     base = dict(experiment="conjecture1", n=2, samples=4, seed=77)
     _, records1 = run_conjecture1(ExperimentConfig(threads=1, **base))
     _, records2 = run_conjecture1(ExperimentConfig(threads=2, **base))
-
-    def strip(rec):
-        data = rec.to_json()
-        data.pop("wall_time")
-        return json.dumps(data, sort_keys=True)
-
-    assert [strip(r) for r in records1] == [strip(r) for r in records2]
+    assert [_stripped(r) for r in records1] == [_stripped(r) for r in records2]
 
 
 def test_worker_count_is_capped_at_the_task_count(monkeypatch):

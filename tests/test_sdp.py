@@ -808,13 +808,15 @@ def _batch_program(name):
         return witness._alice_program(2)[1]
     if name == "alice3":
         return witness._alice_program(3)[1]
-    if name == "ensemble3":
-        return witness._ensemble_program(3)[1]
+    if name.startswith("ensemble"):
+        return witness._ensemble_program(int(name[-1]))[1]
     _RecordingBuilder.built = []
     return _mixed_builder().prepared()
 
 
-@pytest.mark.parametrize("name", ["alice2", "alice3", "ensemble3", "mixed"])
+@pytest.mark.parametrize(
+    "name", ["alice2", "alice3", "ensemble3", "ensemble4", "mixed"]
+)
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_batch_instances_match_their_batch_of_one(name):
     """Each instance of a batch is bit for bit its own batch of one,
@@ -835,11 +837,12 @@ def test_batch_instances_match_their_batch_of_one(name):
         assert [_solution_key(sol) for sol in pair] == alone[2:4]
     if name == "mixed":
         assert STATUS_NUMERICAL_FAILURE in {key[0] for key in alone}
-    # A cap between the fastest and the slowest instance stops some early.
+    # A cap between the fastest and the slowest instance stops some early;
+    # alone holds the iterations of the last signed set, so cap that set.
     cap = sorted(key[2] for key in alone)[2]
-    capped = [_solution_key(prep.solve_with(c, max_iter=cap)) for c in objectives]
+    capped = [_solution_key(prep.solve_with(c, max_iter=cap)) for c in signed]
     assert STATUS_MAX_ITERATIONS in {key[0] for key in capped}
-    batch = prep.solve_batch(objectives, max_iter=cap)
+    batch = prep.solve_batch(signed, max_iter=cap)
     assert [_solution_key(sol) for sol in batch] == capped
 
 

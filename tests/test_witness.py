@@ -200,6 +200,27 @@ def test_optimize_ensemble_trivial_bob_scores_half():
     assert abs(res.value - 0.5) < 1e-7
 
 
+def test_optimize_ensemble_takes_a_sequence_of_sets():
+    from steercert.quantum import sample_random_povm_set
+
+    s = Scenario(3)
+    rng = np.random.default_rng(21)
+    sets = [sample_random_povm_set(rng, 3)[1] for _ in range(3)]
+    batch = optimize_ensemble(s, sets)
+    assert isinstance(batch, list) and len(batch) == 3
+    for mset, res in zip(sets, batch):
+        alone = optimize_ensemble(s, mset)
+        assert (res.value, res.dual_value, res.status, res.gap) == (
+            alone.value, alone.dual_value, alone.status, alone.gap,
+        )
+        pairs = zip(res.states, alone.states)
+        assert all(np.array_equal(a.entries, b.entries) for a, b in pairs)
+    assert optimize_ensemble(s, []) == []
+    pair = MeasurementSet([sharp_povm((0, 0, 1)), sharp_povm((1, 0, 0))])
+    with pytest.raises(ValueError, match="scenario"):
+        optimize_ensemble(s, sets[:1] + [pair])
+
+
 def test_threshold_visibility():
     assert threshold_visibility(noncontextual_bound(3), 0.5, 3) == 1.0
     v = threshold_visibility(CHSH_QUANTUM, 0.5, 2)
