@@ -31,7 +31,6 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--threads", type=int, help="worker processes")
     sub.add_argument("--gap-tol", type=float, dest="gap_tol")
     sub.add_argument("--feas-tol", type=float, dest="feas_tol")
-    sub.add_argument("--bisect-tol", type=float, dest="bisect_tol")
     sub.add_argument("--out", help="output prefix for .jsonl and summaries")
     sub.add_argument("--config", help="JSON file with config defaults")
 
@@ -93,7 +92,6 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         "threads": args.threads,
         "gap_tol": args.gap_tol,
         "feas_tol": args.feas_tol,
-        "bisect_tol": args.bisect_tol,
         "out": args.out,
         "full": getattr(args, "full", None),
         "input_path": getattr(args, "input", None),

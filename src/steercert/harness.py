@@ -7,7 +7,7 @@ is an independent pure function of its seed; records come back in sample
 order no matter how many worker processes execute them, and rerunning any
 configuration reproduces the records exactly (wall-time fields aside). The
 conjecture scan hands its samples to workers in fixed chunks of consecutive
-indices (CONJ1_CHUNK) and solves each chunk's ensemble programs in one
+indices (conj1_chunk) and solves each chunk's ensemble programs in one
 batched IPM run; a batched instance is bit for bit its solve alone.
 """
 
@@ -60,10 +60,6 @@ PROBE_STEP = 1e-3
 # winning probability is 1/2 and the ensemble's equalities fix its total
 # weight, so the value is exactly 1/2.
 TRIVIAL_BASELINE = 0.5
-# conj1 samples per batched ensemble solve. Chunks are runs of consecutive
-# sample indices whatever the worker count, so records do not depend on
-# --threads; each sample's solve is bit for bit its solve alone.
-CONJ1_CHUNK = 16
 # The files a run with an output prefix writes, by suffix.
 _OUT_SUFFIXES = (".jsonl", ".summary.json", ".summary.csv")
 
@@ -127,7 +123,6 @@ class ExperimentConfig:
     threads: int = 1
     gap_tol: float = DEFAULT_GAP_TOL
     feas_tol: float = DEFAULT_FEAS_TOL
-    bisect_tol: float = 2e-4
     out: str | None = None
     full: bool = False
     input_path: str | None = None
@@ -142,7 +137,7 @@ class ExperimentConfig:
             raise ConfigError("samples must be nonnegative")
         if self.threads < 1:
             raise ConfigError("threads must be at least 1")
-        for name in ("gap_tol", "feas_tol", "bisect_tol"):
+        for name in ("gap_tol", "feas_tol"):
             value = _converted(float, name, getattr(self, name))
             if not 0.0 < value < math.inf:
                 raise ConfigError(f"{name} must be positive and finite")
@@ -340,6 +335,16 @@ def _ensemble_results(n: int, sets: list, gap_tol: float, feas_tol: float) -> li
     return results
 
 
+def conj1_chunk(n: int) -> int:
+    """conj1 samples per batched ensemble solve at n settings. Chunks are
+    runs of consecutive sample indices whatever the worker count, so records
+    do not depend on --threads; each sample's solve is bit for bit its solve
+    alone. A batch holds per-instance scaled rows and QR factors, so from
+    n = 5 on a chunk of 16 costs a worker twice the memory of a chunk of 4
+    (302 against 146 MB at n = 7) and runs no faster."""
+    return 16 if n <= 4 else 4
+
+
 def _conjecture1_chunk(args) -> list:
     """The records of one chunk of samples, given as (index, seed) pairs.
 
@@ -379,13 +384,12 @@ def _conjecture1_chunk(args) -> list:
 
 
 def _vn_entry(args) -> dict:
-    n, seed, restarts, bisect_tol, gap_tol, feas_tol = args
+    n, seed, restarts, gap_tol, feas_tol = args
     start = time.perf_counter()
     try:
         res = seesaw_critical_visibility(
             n,
             restarts=restarts,
-            bisect_tol=bisect_tol,
             rng=np.random.default_rng(seed),
             gap_tol=gap_tol,
             feas_tol=feas_tol,
@@ -439,7 +443,7 @@ def run_conjecture1(config: ExperimentConfig):
     """Sample random measurement sets, locate witness violations, and
     certify joint measurability at the derived visibility and just above.
 
-    Samples go in chunks of CONJ1_CHUNK consecutive indices, and worker
+    Samples go in chunks of conj1_chunk(n) consecutive indices, and worker
     processes take whole chunks. A chunk's ensemble programs are solved in
     one batched optimize_ensemble call, each bit for bit as it would be
     alone, so records do not depend on the chunk size or --threads. One JM
@@ -453,9 +457,10 @@ def run_conjecture1(config: ExperimentConfig):
     start = time.perf_counter()
     n = config.n
     seeds = [(i, sample_seed(config.seed, i)) for i in range(config.samples)]
+    chunk = conj1_chunk(n)
     tasks = [
-        (seeds[i : i + CONJ1_CHUNK], n, config.gap_tol, config.feas_tol)
-        for i in range(0, len(seeds), CONJ1_CHUNK)
+        (seeds[i : i + chunk], n, config.gap_tol, config.feas_tol)
+        for i in range(0, len(seeds), chunk)
     ]
     records = [
         rec for chunk in _run_tasks(_conjecture1_chunk, tasks, config.threads)
@@ -500,7 +505,6 @@ def run_vn_table(config: ExperimentConfig):
             n,
             sample_seed(config.seed, n),
             config.restarts,
-            config.bisect_tol,
             config.gap_tol,
             config.feas_tol,
         )

@@ -635,12 +635,13 @@ def _qr(mats: np.ndarray):
 
 class _Active:
     """IPM state of the instances still iterating, one row per instance:
-    its position in the batch, objective, iterate, residuals, stall count
-    and best iterate so far (x, its (int_p, int_d, pinf, dinf), score)."""
+    its position in the batch, objective, iterate, residuals, complementarity
+    mu, stall count and best iterate so far (x, its (int_p, int_d, pinf,
+    dinf), score)."""
 
     __slots__ = (
-        "index", "c", "dinf_scale", "x", "z", "y", "rp", "rd", "rp_tol", "stall",
-        "best_x", "best_stats", "best_score",
+        "index", "c", "dinf_scale", "x", "z", "y", "rp", "rd", "rp_tol", "mu",
+        "stall", "best_x", "best_stats", "best_score",
     )
 
     def keep(self, rows: np.ndarray) -> None:
@@ -829,7 +830,7 @@ class PreparedSdp:
         st.z = np.tile(self._z_start, (k_in, 1))
         st.y = np.zeros((k_in, self.m))
         st.rp = st.rd = np.empty((k_in, 0))
-        st.rp_tol = np.empty(k_in)
+        st.rp_tol = st.mu = np.empty(k_in)
         st.stall = np.zeros(k_in, dtype=int)
         st.best_x = st.x.copy()
         st.best_stats = np.full((k_in, 4), np.nan)
@@ -866,6 +867,8 @@ class PreparedSdp:
             st.rp_tol = (1e-15 * (1.0 + rp_norm)) ** 2
             all_pinf = (rp_norm / (1.0 + norm_b)).tolist()
             all_dinf = (np.sqrt(_rowdot(rd, weight * rd)) / st.dinf_scale).tolist()
+            st.mu = _rowdot(x, z) / k_total
+            all_mu = st.mu.tolist()
             done = []
             for i, now in enumerate(zip(all_int_p, all_int_d, all_pinf, all_dinf)):
                 int_p, int_d, pinf, dinf = now
@@ -890,6 +893,11 @@ class PreparedSdp:
                     st.best_stats[i] = now
                 if pinf <= feas_tol and dinf <= feas_tol and gap_int <= gap_tol:
                     finish(i, STATUS_OPTIMAL, "", x[i], now)
+                    done.append(i)
+                elif all_mu[i] == 0.0:
+                    # x.z underflowed short of the tolerances; the centering
+                    # weight below divides by it.
+                    finish(i, STATUS_NUMERICAL_FAILURE, "complementarity vanished")
                     done.append(i)
             if retire(done):
                 break
@@ -928,8 +936,8 @@ class PreparedSdp:
             if len(st.x) == 0:
                 break
 
-            x, z, y, rp, rd, rp_tol = st.x, st.z, st.y, st.rp, st.rd, st.rp_tol
-            mu = _rowdot(x, z) / k_total
+            x, z, y, rp, rd = st.x, st.z, st.y, st.rp, st.rd
+            rp_tol, mu = st.rp_tol, st.mu
             w_rd = self._scaled(k, scal, "w", rd)
             lam = self._per_group(k, lambda gi, g: scal[gi].lam)
 

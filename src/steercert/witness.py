@@ -327,7 +327,13 @@ def threshold_visibility(witness_value: float, baseline: float, n: int) -> float
 
 @dataclass
 class SeesawResult:
-    """Best-found critical visibility of the game on the noisy singlet."""
+    """Best-found critical visibility of the game on the noisy singlet.
+
+    v_threshold is the exact crossing of the classical bound by the strategy
+    in alice_effects/bob_effects (or v_lo, if that is larger), so
+    value_at_threshold is the bound up to rounding; bracket is
+    (v_threshold, v_threshold). trace holds (v, best pool value at v) per
+    probed visibility."""
 
     n: int
     v_threshold: float
@@ -477,33 +483,44 @@ def _alternate(solve, scenario: Scenario, rhot, select, alice) -> list:
 def seesaw_critical_visibility(
     n: int,
     restarts: int | None = None,
-    bisect_tol: float = 2e-4,
     rng=None,
     gap_tol: float = DEFAULT_GAP_TOL,
     feas_tol: float = DEFAULT_FEAS_TOL,
     v_lo: float = 0.4,
     v_hi: float = 1.0,
 ) -> SeesawResult:
-    """Bisect the noisy-singlet visibility for the smallest value at which
-    the see-saw still finds a quantum violation of the classical bound.
+    """Smallest noisy-singlet visibility at which a see-saw strategy still
+    violates the classical bound, by Dinkelbach iteration.
+
+    For a fixed strategy the game value on the noisy singlet is affine in
+    the visibility, S(v) = S0 + v (S1 - S0), so it meets the bound exactly
+    at (bound - S0) / (S1 - S0): the strategy's crossing. The search probes
+    v_hi, then the smallest crossing of the strategy pool, and repeats at
+    each new smallest crossing while a probe finds a violation there. A
+    violation at v has its crossing below v, so the crossings decrease
+    strictly; the first probe without a violation ends the search. A
+    crossing at or below v_lo is replaced by one last probe at v_lo.
 
     Each probe first evaluates the pool of previously discovered strategies
     (their constraints do not depend on the visibility) and refines the
-    best of them, then tries random restarts, stopping at the first
-    violation. The restarts of a probe run side by side: all of its raw
-    Alice strategies are drawn, repaired in one batched solve and
-    alternated in lockstep, and the results are then taken in restart
+    best of them, then tries the full budget of random restarts, stopping
+    at the first violation. The restarts of a probe run side by side: all
+    of its raw Alice strategies are drawn, repaired in one batched solve
+    and alternated in lockstep, and the results are then taken in restart
     order. At a violation in restart i the later results are dropped and
     the generator is set back to its state after draw i, so the restarts
     used, the iteration logs, the pool and the random stream are those of
-    running the restarts one after another.
+    running the restarts one after another. The pool keeps the four
+    strategies with the smallest crossings.
 
-    The returned trace re-evaluates the final strategy pool at every probed
-    visibility, so it is nondecreasing in v by construction. The threshold
-    is the upper end of the final bracket: a visibility with a confirmed
-    violation. Every completed alternation run contributes its
-    per-iteration value sequence to iteration_logs; runs abandoned on
-    solver failure are discarded.
+    The threshold is max(v_lo, smallest crossing of the final pool), the
+    returned effects are that strategy's, and value_at_threshold is its
+    value there: the bound, up to rounding, unless v_lo cut the crossing.
+    The bracket is (threshold, threshold). The returned trace re-evaluates
+    the final strategy pool at every probed visibility, so it is
+    nondecreasing in v by construction. Every completed alternation run
+    contributes its per-iteration value sequence to iteration_logs; runs
+    abandoned on solver failure are discarded.
     """
     if not 2 <= n <= 7:
         raise ValueError("supported range is 2 <= n <= 7")
@@ -529,12 +546,19 @@ def seesaw_critical_visibility(
     def rhot_at(v: float) -> np.ndarray:
         return noisy_singlet(v).entries.reshape(2, 2, 2, 2)
 
-    def add_to_pool(alice, bob, value) -> None:
-        pool.append((alice, bob, value))
-        pool.sort(key=lambda s: -s[2])
+    rhot_0, rhot_1 = rhot_at(0.0), rhot_at(1.0)
+
+    def crossing(alice, bob) -> float:
+        s0 = _strategy_value(alice, bob, rhot_0, scenario)
+        s1 = _strategy_value(alice, bob, rhot_1, scenario)
+        return (bound - s0) / (s1 - s0) if s1 > s0 else np.inf
+
+    def add_to_pool(alice, bob) -> None:
+        pool.append((alice, bob, crossing(alice, bob)))
+        pool.sort(key=lambda s: s[2])
         del pool[4:]
 
-    def probe(v: float, budget: int) -> bool:
+    def probe(v: float) -> bool:
         nonlocal used
         rhot = rhot_at(v)
         best_val = -np.inf
@@ -557,15 +581,15 @@ def seesaw_critical_visibility(
                 logs.append(tuple(run_log))
                 if val > best_val:
                     best_val = val
-                    add_to_pool(alice, bob, val)
+                    add_to_pool(alice, bob)
             if best_val > bound + VIOLATION_MARGIN:
                 return True
         raw, states = [], []
-        for _ in range(budget):
+        for _ in range(restarts):
             raw.append(_random_sharp_alice(rng, n_x))
             states.append(rng.bit_generator.state)
         repairs = prepared.solve_batch(
-            hvec(np.array(raw)).reshape(budget, -1),
+            hvec(np.array(raw)).reshape(restarts, -1),
             gap_tol=gap_tol,
             feas_tol=feas_tol,
         )
@@ -576,7 +600,7 @@ def seesaw_critical_visibility(
         run_of = dict(
             zip(repaired, _alternate(solve_stack, scenario, rhot, select, starts))
         )
-        for i in range(budget):
+        for i in range(restarts):
             used += 1
             if i not in run_of:
                 continue
@@ -586,25 +610,32 @@ def seesaw_critical_visibility(
             logs.append(tuple(run_log))
             if val > best_val:
                 best_val = val
-                add_to_pool(alice, bob, val)
+                add_to_pool(alice, bob)
             if best_val > bound + VIOLATION_MARGIN:
                 rng.bit_generator.state = states[i]
                 return True
         return False
 
-    if not probe(v_hi, restarts):
+    if not probe(v_hi):
         raise RuntimeError("see-saw found no violation at the top visibility")
-    if probe(v_lo, restarts):
-        lo, hi = v_lo, v_lo
-    else:
-        lo, hi = v_lo, v_hi
-        while hi - lo > bisect_tol:
-            mid = 0.5 * (lo + hi)
-            budget = restarts if hi - lo >= 0.15 else max(4, restarts // 8)
-            if probe(mid, budget):
-                hi = mid
-            else:
-                lo = mid
+    while True:
+        v = pool[0][2]
+        if v <= v_lo:
+            probe(v_lo)
+            break
+        if not probe(v):
+            break
+    # The solver's completeness residual can sit a hair above the POVM
+    # validation tolerance, so snap the Alice effects onto exact
+    # completeness; the threshold is the crossing of the snapped strategy.
+    raw_alice, bob, _ = pool[0]
+    alice = []
+    for xi in range(n_x):
+        vals, vecs = np.linalg.eigh(raw_alice[2 * xi])
+        first = (vecs * np.clip(vals, 0.0, 1.0)) @ vecs.conj().T
+        alice += [first, np.eye(2) - first]
+    alice = np.array(alice)
+    v_threshold = max(v_lo, crossing(alice, bob))
 
     trace = []
     for v in sorted(set(probed)):
@@ -612,38 +643,17 @@ def seesaw_critical_visibility(
         trace.append(
             (v, max(_strategy_value(a, b, rhot, scenario) for a, b, _ in pool))
         )
-    rhot = rhot_at(hi)
-    scored = [
-        (_strategy_value(a, b, rhot, scenario), a, b) for a, b, _ in pool
-    ]
-    best_val, best_alice, best_bob = max(scored, key=lambda s: s[0])
-    # The solver's completeness residual can sit a hair above the POVM
-    # validation tolerance, so snap the reported effects onto exact
-    # completeness; the threshold value above still uses the raw matrices.
-    alice_povms = []
-    for xi in range(n_x):
-        vals, vecs = np.linalg.eigh(best_alice[2 * xi])
-        first = (vecs * np.clip(vals, 0.0, 1.0)) @ vecs.conj().T
-        alice_povms.append(
-            Povm(
-                [
-                    HermitianOperator(first),
-                    HermitianOperator(np.eye(2) - first),
-                ]
-            )
+    alice_set, bob_set = (
+        MeasurementSet(
+            [Povm([HermitianOperator(e0), HermitianOperator(e1)]) for e0, e1 in pairs]
         )
-    alice_set = MeasurementSet(alice_povms)
-    bob_set = MeasurementSet(
-        [
-            Povm([HermitianOperator(b0), HermitianOperator(b1)])
-            for b0, b1 in best_bob
-        ]
+        for pairs in (alice.reshape(n_x, 2, 2, 2), bob)
     )
     return SeesawResult(
         n=n,
-        v_threshold=hi,
-        bracket=(lo, hi),
-        value_at_threshold=best_val,
+        v_threshold=v_threshold,
+        bracket=(v_threshold, v_threshold),
+        value_at_threshold=_strategy_value(alice, bob, rhot_at(v_threshold), scenario),
         trace=tuple(trace),
         alice_effects=alice_set,
         bob_effects=bob_set,

@@ -106,11 +106,11 @@ def _stripped(rec) -> str:
     return json.dumps(data, sort_keys=True)
 
 
-@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("n", [3, 4, 5])
 def test_conjecture1_chunks_match_per_sample_solves(n):
     """Two full chunks and a partial one, in one process and in three: every
     record is the one a batch-of-one ensemble solve of its seed gives."""
-    samples = 2 * harness.CONJ1_CHUNK + 3
+    samples = 2 * harness.conj1_chunk(n) + 3
     expected = []
     for i in range(samples):
         seed = sample_seed(11, i)
@@ -140,7 +140,7 @@ def test_conjecture1_error_stays_with_its_sample(monkeypatch, fault, error):
     """Sample 5, in the middle of the first chunk, fails its draw or hands
     the batched solve a set its check refuses."""
     cfg = ExperimentConfig(
-        experiment="conjecture1", n=3, samples=harness.CONJ1_CHUNK + 2, seed=4
+        experiment="conjecture1", n=3, samples=harness.conj1_chunk(3) + 2, seed=4
     )
     _, clean = run_conjecture1(cfg)
     bad = sample_seed(4, 5)
@@ -165,9 +165,8 @@ def test_conjecture1_error_stays_with_its_sample(monkeypatch, fault, error):
 
 def test_conjecture1_counts_ensemble_solves_short_of_optimal():
     # A feasibility tolerance below what double precision reaches: the
-    # solves stop short of Optimal, and some may raise inside the IPM. A
-    # batch that raises is solved set by set, so each sample keeps its own
-    # outcome.
+    # solves stop short of Optimal. A batch that raises would be solved set
+    # by set, so each sample keeps its own outcome.
     cfg = ExperimentConfig(
         experiment="conjecture1", n=3, samples=4, seed=1, feas_tol=1e-17
     )
@@ -262,7 +261,6 @@ def test_vn_table_entry_and_outputs(tmp_path):
         experiment="vn_table",
         n=(2,),
         restarts=3,
-        bisect_tol=2e-3,
         seed=1,
         out=out,
     )

@@ -242,14 +242,22 @@ def test_statistics_from_strategy_is_normalized():
 
 def test_seesaw_chsh_threshold():
     rng = np.random.default_rng(11)
-    res = seesaw_critical_visibility(2, restarts=4, bisect_tol=5e-4, rng=rng)
+    res = seesaw_critical_visibility(2, restarts=4, rng=rng)
+    bound = noncontextual_bound(2)
     assert abs(res.v_threshold - 1.0 / np.sqrt(2.0)) < 1.5e-3
     vs = [v for v, _ in res.trace]
     vals = [w for _, w in res.trace]
     assert vs == sorted(vs)
     for earlier, later in zip(vals, vals[1:]):
         assert later >= earlier - 1e-10
-    assert res.value_at_threshold > noncontextual_bound(2)
+    assert abs(res.value_at_threshold - bound) <= 1e-12
+    # The returned strategy as the see-saw's arrays: Alice effects in block
+    # order 2 x + a, Bob effects indexed [y, b].
+    alice = np.array([e.entries for p in res.alice_effects.settings for e in p.effects])
+    bob = np.array([[e.entries for e in p.effects] for p in res.bob_effects.settings])
+    rhot = noisy_singlet(res.v_threshold + 1e-6).entries.reshape(2, 2, 2, 2)
+    value = witness._strategy_value(alice, bob, rhot, Scenario(2))
+    assert value > bound + witness.VIOLATION_MARGIN
     assert res.restarts_used > 0
     assert res.alice_effects.n == 2
     assert res.bob_effects.n == 2
@@ -326,16 +334,44 @@ def test_seesaw_probe_without_violation_keeps_every_draw():
     assert rng.bit_generator.state == _fresh_state_after(5, 2, 6)
 
 
-@pytest.mark.parametrize(
-    "n, v_threshold, lo, used",
-    [
-        (2, 0.707177734375, 0.70703125, 53),
-        (3, 0.577392578125, 0.5772460937499999, 68),
-    ],
-)
+# v_threshold per (n, seed); every run uses 22 restarts.
+_PINNED_THRESHOLDS = {
+    (2, 0): 0.7071067818390465,
+    (2, 1): 0.7071067818390471,
+    (2, 2): 0.7071067818390465,
+    (2, 3): 0.7071067818390465,
+    (3, 0): 0.577350269214245,
+    (3, 1): 0.5773502692142453,
+    (3, 2): 0.5773502692142455,
+    (3, 3): 0.5773502692142455,
+}
+
+
+@pytest.mark.parametrize("n", (2, 3))
 @pytest.mark.parametrize("seed", range(4))
-def test_seesaw_threshold_is_pinned(n, v_threshold, lo, used, seed):
+def test_seesaw_threshold_is_pinned(n, seed):
     res = seesaw_critical_visibility(n, rng=np.random.default_rng(seed))
+    v_threshold = _PINNED_THRESHOLDS[n, seed]
     assert res.v_threshold == v_threshold
-    assert res.bracket == (lo, v_threshold)
-    assert res.restarts_used == used
+    assert res.bracket == (v_threshold, v_threshold)
+    assert res.restarts_used == 22
+    assert abs(v_threshold - 1.0 / np.sqrt(n)) <= 1e-9
+
+
+@pytest.mark.parametrize("n, seed", [(2, 0), (3, 1)])
+def test_seesaw_threshold_is_the_crossing_of_its_strategy(n, seed):
+    """Solver-free: the returned effects, through the Born rule alone, meet
+    the classical bound at v_threshold."""
+    res = seesaw_critical_visibility(n, rng=np.random.default_rng(seed))
+    scenario = Scenario(n)
+    bound = noncontextual_bound(n)
+
+    def value(v):
+        stats = statistics_from_strategy(
+            noisy_singlet(v), res.alice_effects, res.bob_effects, scenario
+        )
+        return evaluate_witness(scenario, stats)
+
+    s0, s1 = value(0.0), value(1.0)
+    assert abs((bound - s0) / (s1 - s0) - res.v_threshold) <= 1e-12
+    assert abs(value(res.v_threshold) - bound) <= 1e-12
