@@ -23,9 +23,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .linalg import HermitianOperator
 from .quantum import Assemblage, MeasurementSet, bloch_from_povm, check_binary_qubit
-from .sdp import STATUS_OPTIMAL, ProgramBuilder
+from .sdp import STATUS_OPTIMAL, PreparedSdp, ProgramBuilder
 from .tolerances import (
     DEFAULT_FEAS_TOL,
     DEFAULT_GAP_TOL,
@@ -112,36 +111,9 @@ def check_lhs_input(assemblage: Assemblage) -> None:
         raise ValueError(f"model search is exponential in n; refusing n > {MAX_SETTINGS}")
 
 
-def _parent_search(
-    pairs, kind: str, gap_tol: float, feas_tol: float
-) -> CertificationReport:
-    """Largest v at which PSD parent blocks G_lam, one per response string
-    lam in {0,1}^n, reproduce v T + (1 - v) N for each 2x2 (target, noise)
-    pair (T, N) of ``pairs``, capped at 1.
-
-    Pair 0 fixes the sum over all lam and pair x + 1 the sum over lam_x = 0:
-    sum G_lam - v (T - N) = N. A slack s with v + s = 1 caps v. The
-    verdict is the kind's yes when the target itself (v = 1) admits the
-    parent structure within the verdict margin, its no when it does not;
-    a solve that did not converge is Inconclusive.
-    """
-    lams = list(itertools.product((0, 1), repeat=len(pairs) - 1))
-    n_l = len(lams)
-    v_ix, s_ix = n_l, n_l + 1
-    builder = ProgramBuilder([2] * n_l + [1, 1])
-    for x, (target, noise) in enumerate(pairs):
-        terms: dict = {
-            li: 1.0 for li, lam in enumerate(lams) if x == 0 or lam[x - 1] == 0
-        }
-        terms[v_ix] = -(target - noise)
-        builder.add_operator_equation(terms, HermitianOperator(noise))
-    builder.add_operator_equation({v_ix: 1.0, s_ix: 1.0}, 1.0)
-    # Maximize v: the objective in hvec coordinates, 4 per 2x2 block.
-    objective = np.zeros(4 * n_l + 2)
-    objective[4 * n_l] = 1.0
-    sol = builder.prepared().solve_with(
-        objective, gap_tol=gap_tol, feas_tol=feas_tol
-    )
+def _report(kind: str, sol, gap_tol: float) -> CertificationReport:
+    """The report of a parent-search solution: its optimum v, clipped to
+    [0, 1], and the verdict on it."""
     crit = min(1.0, max(0.0, sol.primal_value))
     return CertificationReport(
         kind=kind,
@@ -152,11 +124,59 @@ def _parent_search(
     )
 
 
+def _parent_search(
+    targets, noises, kind: str, gap_tol: float, feas_tol: float
+) -> list:
+    """Per entry of ``targets``, a list of 2x2 targets T_x, the largest v at
+    which PSD parent blocks G_lam, one per response string lam in {0,1}^n,
+    reproduce v T_x + (1 - v) N_x for each noise N_x of ``noises``, capped
+    at 1: one report per entry.
+
+    Row group 0 fixes the sum over all lam and row group x + 1 the sum over
+    lam_x = 0: sum G_lam - v (T_x - N_x) = N_x. A slack s with v + s = 1
+    caps v. The verdict is the kind's yes when the target itself (v = 1)
+    admits the parent structure within the verdict margin, its no when it
+    does not; a solve that did not converge is Inconclusive.
+
+    The programs differ only in v's column, so they form one stack
+    (PreparedSdp over (k, m, n) rows) and several are solved in one
+    batched IPM run, each bit for bit as it would be alone. One program
+    makes one solve_with call, a batch of one with the same bits, which is
+    the entry point the benchmark's per-layer solver span counts.
+    """
+    lams = list(itertools.product((0, 1), repeat=len(noises) - 1))
+    n_l = len(lams)
+    v_ix, s_ix = n_l, n_l + 1
+    dims = [2] * n_l + [1, 1]
+    stack = []
+    for target in targets:
+        builder = ProgramBuilder(dims)
+        for x, (t_x, noise) in enumerate(zip(target, noises)):
+            terms: dict = {
+                li: 1.0 for li, lam in enumerate(lams) if x == 0 or lam[x - 1] == 0
+            }
+            terms[v_ix] = -(t_x - noise)
+            builder.add_operator_equation(terms, noise)
+        builder.add_operator_equation({v_ix: 1.0, s_ix: 1.0}, 1.0)
+        stack.append(builder.constraint_matrix())
+    prepared = PreparedSdp(dims, np.array([a for a, _ in stack]), stack[0][1])
+    # Maximize v: the objective in hvec coordinates, 4 per 2x2 block.
+    objective = np.zeros(4 * n_l + 2)
+    objective[4 * n_l] = 1.0
+    if len(stack) == 1:
+        sols = [prepared.solve_with(objective, gap_tol=gap_tol, feas_tol=feas_tol)]
+    else:
+        sols = prepared.solve_batch(
+            np.tile(objective, (len(stack), 1)), gap_tol=gap_tol, feas_tol=feas_tol
+        )
+    return [_report(kind, sol, gap_tol) for sol in sols]
+
+
 def jm_critical_visibility(
-    mset: MeasurementSet,
+    msets,
     gap_tol: float = DEFAULT_GAP_TOL,
     feas_tol: float = DEFAULT_FEAS_TOL,
-) -> CertificationReport:
+):
     """Largest v at which the depolarized set v B + (1 - v) I/2 has a joint
     parent measurement, capped at 1.
 
@@ -164,11 +184,27 @@ def jm_critical_visibility(
     marginal rows are imposed, the complementary rows follow from the
     completeness of the parent. Verdict Compatible means the set itself
     (v = 1) is jointly measurable within the verdict margin.
+
+    ``msets`` is one MeasurementSet, which gives one CertificationReport,
+    or a sequence of sets of one setting count, which gives a list of
+    reports in the same order. The sets' programs are solved in one batched
+    IPM run, and each report is bit for bit the one its set gets alone.
     """
-    check_jm_input(mset)
+    single = isinstance(msets, MeasurementSet)
+    sets = [msets] if single else list(msets)
+    for mset in sets:
+        check_jm_input(mset)
+    if len({mset.n for mset in sets}) > 1:
+        raise ValueError("the sets of a batch need the same number of settings")
+    if not sets:
+        return []
     ident = np.eye(2)
-    pairs = [(ident, ident)] + [(povm[0].entries, _HALF) for povm in mset.settings]
-    return _parent_search(pairs, KIND_JOINT_MEASURABILITY, gap_tol, feas_tol)
+    noises = [ident] + [_HALF] * sets[0].n
+    targets = [[ident] + [povm[0].entries for povm in mset.settings] for mset in sets]
+    reports = _parent_search(
+        targets, noises, KIND_JOINT_MEASURABILITY, gap_tol, feas_tol
+    )
+    return reports[0] if single else reports
 
 
 def lhs_critical_visibility(
@@ -184,11 +220,13 @@ def lhs_critical_visibility(
     outcome-0 rows plus the global sum pin the decomposition.
     """
     check_lhs_input(assemblage)
-    pairs = [(assemblage.reduced_state.entries, _HALF)]
-    for x in range(assemblage.n_settings):
-        sigma = assemblage[0, x].entries
-        pairs.append((sigma, float(np.trace(sigma).real) * _HALF))
-    return _parent_search(pairs, KIND_LOCAL_HIDDEN_STATE, gap_tol, feas_tol)
+    sigmas = [assemblage[0, x].entries for x in range(assemblage.n_settings)]
+    target = [assemblage.reduced_state.entries] + sigmas
+    noises = [_HALF] + [float(np.trace(sigma).real) * _HALF for sigma in sigmas]
+    (report,) = _parent_search(
+        [target], noises, KIND_LOCAL_HIDDEN_STATE, gap_tol, feas_tol
+    )
+    return report
 
 
 def pair_jm_oracle(mset: MeasurementSet) -> float:

@@ -8,7 +8,8 @@ order no matter how many worker processes execute them, and rerunning any
 configuration reproduces the records exactly (wall-time fields aside). The
 conjecture scan hands its samples to workers in fixed chunks of consecutive
 indices (conj1_chunk) and solves each chunk's ensemble programs in one
-batched IPM run; a batched instance is bit for bit its solve alone.
+batched IPM run and the JM programs of its post-selected samples in
+another; a batched instance is bit for bit its solve alone.
 """
 
 from __future__ import annotations
@@ -208,7 +209,8 @@ class ExperimentConfig:
 @dataclass
 class SampleRecord:
     """One sampled measurement set and what became of it. Certification
-    fields stay unset unless the sample cleared the classical bound."""
+    fields stay unset unless the sample cleared the classical bound;
+    jm_margin also stays unset when jm_crit_at_probe reaches the cap of 1."""
 
     sample_index: int
     seed: int
@@ -229,6 +231,7 @@ class SampleRecord:
     jm_crit_at_probe: float | None = None
     jm_gap_at_threshold: float | None = None
     jm_gap_at_probe: float | None = None
+    jm_margin: float | None = None
     error: str | None = None
 
     def to_json(self) -> dict:
@@ -248,6 +251,8 @@ class RunSummary:
     total_runtime: float
     ok: bool
     notes: list = field(default_factory=list)
+    # Per record field, the count of its values and their min, p50 and max.
+    distributions: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -271,9 +276,10 @@ def _error_record(index: int, seed: int, n: int, exc: Exception) -> SampleRecord
     )
 
 
-def _conjecture1_record(index, seed, n, params, mset, res, gap_tol, feas_tol):
-    """The record of one sample from its ensemble result; a post-selected
-    sample makes its one JM solve here."""
+def _sample_record(index, seed, n, params, res) -> SampleRecord:
+    """The record of one sample from its ensemble result. A post-selected
+    sample also gets its threshold and probe visibilities here, and its JM
+    fields from _add_jm."""
     post = (
         res.status == STATUS_OPTIMAL
         and res.value > noncontextual_bound(n) + POST_SELECT_MARGIN
@@ -293,94 +299,161 @@ def _conjecture1_record(index, seed, n, params, mset, res, gap_tol, feas_tol):
     )
     if post:
         # The dual value upper-bounds the true optimum, so the derived
-        # visibility under-shoots the exact threshold and the verdict
-        # at it is robust to solver error. One JM solve at the probe
-        # answers both: the set at v is the probe's set depolarized by
-        # v / probe, and the capped critical visibility transports.
+        # visibility under-shoots the exact threshold and the verdict at it
+        # is robust to solver error.
         v = threshold_visibility(res.dual_value, TRIVIAL_BASELINE, n)
-        probe = min(1.0, v + PROBE_STEP)
-        rep_p = jm_critical_visibility(
-            depolarize_measurements(mset, probe), gap_tol, feas_tol
-        )
-        rep_v = rep_p.depolarized(v / probe, gap_tol)
         record.threshold_v = v
-        record.probe_v = probe
-        record.verdict_at_threshold = rep_v.verdict
-        record.verdict_at_probe = rep_p.verdict
-        record.jm_crit_at_threshold = rep_v.critical_visibility
-        record.jm_crit_at_probe = rep_p.critical_visibility
-        record.jm_gap_at_threshold = rep_v.solver_gap
-        record.jm_gap_at_probe = rep_p.solver_gap
+        record.probe_v = min(1.0, v + PROBE_STEP)
     return record
 
 
-def _ensemble_results(n: int, sets: list, gap_tol: float, feas_tol: float) -> list:
-    """optimize_ensemble of each set, or the exception its check or solve
-    raised. The sets go in one batch; should the batch raise, each set is
-    solved alone, so one set's exception leaves the others the results
-    they get in the batch (an instance is bit for bit its solve alone)."""
-    scenario = Scenario(n)
-    try:
-        return optimize_ensemble(scenario, sets, gap_tol=gap_tol, feas_tol=feas_tol)
-    except Exception:
-        pass
-    results = []
-    for mset in sets:
+def _add_jm(record: SampleRecord, rep_p, gap_tol: float) -> None:
+    """Fill the JM fields of a post-selected record from the report of its
+    set at the probe. That one solve answers both visibilities: the set at
+    the threshold v is the probe's set depolarized by v / probe, and the
+    capped critical visibility transports. Below the cap, the set's
+    critical visibility v* = crit_at_probe * probe is known, and jm_margin
+    is v* / v - 1."""
+    v, probe = record.threshold_v, record.probe_v
+    rep_v = rep_p.depolarized(v / probe, gap_tol)
+    record.verdict_at_threshold = rep_v.verdict
+    record.verdict_at_probe = rep_p.verdict
+    record.jm_crit_at_threshold = rep_v.critical_visibility
+    record.jm_crit_at_probe = rep_p.critical_visibility
+    record.jm_gap_at_threshold = rep_v.solver_gap
+    record.jm_gap_at_probe = rep_p.solver_gap
+    if rep_p.critical_visibility < 1.0:
+        record.jm_margin = rep_p.critical_visibility * probe / v - 1.0
+
+
+def _batched(solve, prepare, items: list) -> list:
+    """solve(inputs) over prepare(item) of every item that prepare accepts,
+    in one batch, and for an item whose prepare raises that exception: one
+    result or exception per item, in item order. prepare holds every check
+    the solve would make, so that a refused item costs the others nothing.
+    Should the batch still raise, from inside the solver, each input is
+    solved alone: an exception then stays with its item, and the others get
+    the results they get in the batch (an instance is bit for bit its
+    solve alone)."""
+    results: list = [None] * len(items)
+    inputs, slots = [], []
+    for i, item in enumerate(items):
         try:
-            results.append(
-                optimize_ensemble(scenario, mset, gap_tol=gap_tol, feas_tol=feas_tol)
-            )
+            inputs.append(prepare(item))
+            slots.append(i)
         except Exception as exc:
-            results.append(exc)
+            results[i] = exc
+    try:
+        solved = solve(inputs) if inputs else []
+    except Exception:
+        solved = []
+        for one in inputs:
+            try:
+                solved.extend(solve([one]))
+            except Exception as exc:
+                solved.append(exc)
+    for i, res in zip(slots, solved):
+        results[i] = res
     return results
 
 
 def conj1_chunk(n: int) -> int:
-    """conj1 samples per batched ensemble solve at n settings. Chunks are
-    runs of consecutive sample indices whatever the worker count, so records
-    do not depend on --threads; each sample's solve is bit for bit its solve
-    alone. A batch holds per-instance scaled rows and QR factors, so from
-    n = 5 on a chunk of 16 costs a worker twice the memory of a chunk of 4
-    (302 against 146 MB at n = 7) and runs no faster."""
+    """conj1 samples per chunk at n settings; a chunk makes one batched
+    ensemble solve and one batched JM solve. Chunks are runs of consecutive
+    sample indices whatever the worker count, so records do not depend on
+    --threads; each sample's solve is bit for bit its solve alone. A batch
+    holds per-instance scaled rows and QR factors, so from n = 5 on a chunk
+    of 16 costs a worker twice the memory of a chunk of 4 (ru_maxrss 298
+    against 143 MB at n = 7) and runs no faster."""
     return 16 if n <= 4 else 4
 
 
 def _conjecture1_chunk(args) -> list:
     """The records of one chunk of samples, given as (index, seed) pairs.
 
-    Each sample draws its set alone, the sets drawn share one batched
-    ensemble solve, and each post-selected sample then makes its own JM
-    solve. A sample whose draw, check, solve or JM step raises gets an
-    error record and leaves the chunk; the others keep their records. A
-    record's wall_time is its own draw and JM time plus an equal share of
-    the batched solve."""
+    Each sample draws its set alone. The sets drawn share one batched
+    ensemble solve (optimize_ensemble over a list), and the post-selected
+    samples' probe sets then share one batched JM solve
+    (jm_critical_visibility over a list). Each stage first checks every
+    input: a sample whose draw, check, threshold or probe raises gets an
+    error record and leaves the chunk, and the others keep their records;
+    so does a sample whose own solve raises. A record's wall_time is its own
+    draw and record time plus an equal share of the ensemble batch, and for
+    a post-selected sample an equal share of the JM batch."""
     samples, n, gap_tol, feas_tol = args
-    records: dict = {}
+    # Per sample index, its record or the exception that ended it, and the
+    # seconds it has taken.
+    outcome: dict = {}
+    own: dict = {}
     drawn: list = []
     for index, seed in samples:
         start = time.perf_counter()
         try:
             params, mset = sample_random_povm_set(np.random.default_rng(seed), n)
-            drawn.append((index, seed, params, mset, time.perf_counter() - start))
+            drawn.append((index, seed, params, mset))
         except Exception as exc:
-            records[index] = _error_record(index, seed, n, exc)
-            records[index].wall_time = time.perf_counter() - start
+            outcome[index] = exc
+        own[index] = time.perf_counter() - start
+
+    def ensemble_input(mset):
+        if mset.n != n:
+            raise ValueError("measurement count does not match the scenario")
+        check_binary_qubit(mset)
+        return mset
+
+    scenario = Scenario(n)
     start = time.perf_counter()
-    results = _ensemble_results(n, [d[3] for d in drawn], gap_tol, feas_tol)
-    share = (time.perf_counter() - start) / max(1, len(drawn))
-    for (index, seed, params, mset, own), res in zip(drawn, results):
+    results = _batched(
+        lambda sets: optimize_ensemble(
+            scenario, sets, gap_tol=gap_tol, feas_tol=feas_tol
+        ),
+        ensemble_input,
+        [d[3] for d in drawn],
+    )
+    ensemble_share = (time.perf_counter() - start) / max(1, len(drawn))
+    post: list = []
+    for (index, seed, params, mset), res in zip(drawn, results):
         start = time.perf_counter()
         try:
             if isinstance(res, Exception):
                 raise res
-            record = _conjecture1_record(
-                index, seed, n, params, mset, res, gap_tol, feas_tol
-            )
+            outcome[index] = record = _sample_record(index, seed, n, params, res)
+            if record.post_selected:
+                post.append((record, mset))
         except Exception as exc:
-            record = _error_record(index, seed, n, exc)
-        record.wall_time = own + share + time.perf_counter() - start
-        records[index] = record
-    return [records[index] for index, _ in samples]
+            outcome[index] = exc
+        own[index] += ensemble_share + time.perf_counter() - start
+
+    def probe_input(entry):
+        record, mset = entry
+        probe_set = depolarize_measurements(mset, record.probe_v)
+        check_jm_input(probe_set)
+        return probe_set
+
+    start = time.perf_counter()
+    reports = _batched(
+        lambda sets: jm_critical_visibility(sets, gap_tol, feas_tol),
+        probe_input,
+        post,
+    )
+    jm_share = (time.perf_counter() - start) / max(1, len(post))
+    for (record, _), rep in zip(post, reports):
+        start = time.perf_counter()
+        try:
+            if isinstance(rep, Exception):
+                raise rep
+            _add_jm(record, rep, gap_tol)
+        except Exception as exc:
+            outcome[record.sample_index] = exc
+        own[record.sample_index] += jm_share + time.perf_counter() - start
+    out = []
+    for index, seed in samples:
+        record = outcome[index]
+        if isinstance(record, Exception):
+            record = _error_record(index, seed, n, record)
+        record.wall_time = own[index]
+        out.append(record)
+    return out
 
 
 def _vn_entry(args) -> dict:
@@ -445,12 +518,15 @@ def run_conjecture1(config: ExperimentConfig):
 
     Samples go in chunks of conj1_chunk(n) consecutive indices, and worker
     processes take whole chunks. A chunk's ensemble programs are solved in
-    one batched optimize_ensemble call, each bit for bit as it would be
-    alone, so records do not depend on the chunk size or --threads. One JM
-    solve per post-selected sample, at the probe, gives both verdicts; the
-    one at the threshold is carried down by CertificationReport.depolarized.
-    ``counts["ensemble_not_optimal"]`` counts the samples whose ensemble
-    solve ended short of Optimal.
+    one batched optimize_ensemble call, and the JM programs of its
+    post-selected samples in one batched jm_critical_visibility call, each
+    bit for bit as it would be alone, so records do not depend on the chunk
+    size or --threads. One JM solve per post-selected sample, at the probe,
+    gives both verdicts; the one at the threshold is carried down by
+    CertificationReport.depolarized. ``counts["ensemble_not_optimal"]``
+    counts the samples whose ensemble solve ended short of Optimal, and
+    ``distributions["jm_margin"]`` summarizes the records' jm_margin, how
+    far the JM critical visibility v* lies from the threshold v.
 
     Per-sample errors are recorded on the sample and never abort the run.
     """
@@ -493,7 +569,9 @@ def run_conjecture1(config: ExperimentConfig):
             counts[f"{verdict.lower()}_at_{at}"] += 1
     rows = [r.to_json() for r in records]
     ok = counts["errors"] == 0
-    return _finish(config, start, rows, counts, [], ok, []), records
+    margins = [r.jm_margin for r in records if r.jm_margin is not None]
+    spread = {"jm_margin": _distribution(margins)}
+    return _finish(config, start, rows, counts, [], ok, [], spread), records
 
 
 def run_vn_table(config: ExperimentConfig):
@@ -711,7 +789,22 @@ def run_experiment(config: ExperimentConfig):
 # -- output files -----------------------------------------------------------
 
 
-def _finish(config, start, rows, counts, estimates, ok, notes) -> RunSummary:
+def _distribution(values: list) -> dict:
+    """The count of ``values`` and, when there are any, their min, p50
+    (the median) and max."""
+    if not values:
+        return {"count": 0}
+    return {
+        "count": len(values),
+        "min": min(values),
+        "p50": float(np.median(values)),
+        "max": max(values),
+    }
+
+
+def _finish(
+    config, start, rows, counts, estimates, ok, notes, distributions=None
+) -> RunSummary:
     """The run's summary, timed from ``start``, written to the outputs with
     its records ``rows``."""
     summary = RunSummary(
@@ -722,6 +815,7 @@ def _finish(config, start, rows, counts, estimates, ok, notes) -> RunSummary:
         total_runtime=time.perf_counter() - start,
         ok=ok,
         notes=notes,
+        distributions=distributions or {},
     )
     _write_outputs(config.out, summary, rows)
     return summary

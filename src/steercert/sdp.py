@@ -52,20 +52,25 @@ of the assembled product, so its conditioning is not squared near a
 degenerate optimum.
 
 PreparedSdp maximizes one objective (solve_with) or a batch of k
-objectives side by side (solve_batch) over one program. Both run the same
-IPM loop, on instance rows: the iterate of every instance is one row of a
-(k, n) array, the cone operations act on the k n blocks row by row, and only
-the quantities that decide something are taken per instance: the residual
-norms, mu and sigma, the step lengths, the interior test and the stopping
-rule. Each instance keeps its own best iterate, status, iteration count,
-stall count, corrector fallback and backtracking. An instance that
-converges or fails (non-finite iterate, a block that cannot be scaled, a
-singular R, a collapsed step) leaves the batch, and the rest go on. The
-Schur step is a QR factorization of each instance's scaled rows and
-LAPACK triangular solves with its R. Every product with one instance's data
-is a BLAS or LAPACK call of its own, on operands whose memory order does not
-depend on the batch, so an instance's result is bit for bit the same
-whatever else is in its batch; solve_with is a batch of one.
+objectives side by side (solve_batch), over one program or, pairing
+objective i with program i, over a stack of k programs that share block
+dimensions and right-hand side but not their rows. One program is a stack
+of one, whose rows every instance shares. Redundant rows are found per
+program, and the programs of a stack must keep the same ones. Both entry
+points run the same IPM loop, on instance rows: the iterate of every
+instance is one row of a (k, n) array, the cone operations act on the k n
+blocks row by row, and only the quantities that decide something are taken
+per instance: the residual norms, mu and sigma, the step lengths, the
+interior test and the stopping rule. Each instance keeps its own program,
+best iterate, status, iteration count, stall count, corrector fallback and
+backtracking. An instance that converges or fails (non-finite iterate, a
+block that cannot be scaled, a singular R, a collapsed step) leaves the
+batch, and the rest go on. The Schur step is a QR factorization of each
+instance's scaled rows and LAPACK triangular solves with its R. Every
+product with one instance's data is a BLAS or LAPACK call of its own, on
+operands whose memory order does not depend on the batch, so an instance's
+result is bit for bit the same whatever else is in its batch and whether
+its program is shared or one of a stack; solve_with is a batch of one.
 
 Everything that depends only on a dimension is built once, on first use, and
 cached read-only: the gather/scatter offsets and scale vectors behind hvec and
@@ -472,7 +477,8 @@ class _Group:
     the least eigenvalue of a scaled direction in lam's frame
     (``least_eig``), which bounds the step.
     ``a_blocks`` holds the group's columns of the reduced constraint
-    matrix, shape (n, m, d^2), once the program is built.
+    matrices, shape (k, n, m, d^2) for a stack of k programs, once the
+    program is built.
     """
 
     __slots__ = ("dim", "blocks", "col_start", "col_stop", "a_blocks")
@@ -633,20 +639,64 @@ def _qr(mats: np.ndarray):
     return q[None], np.triu(qr[:m])[None]
 
 
+def _failed_solution(message: str) -> SdpSolution:
+    """The solution of a program whose equalities have no solution."""
+    return SdpSolution(
+        status=STATUS_NUMERICAL_FAILURE,
+        primal_value=np.nan,
+        dual_value=np.nan,
+        gap=np.nan,
+        primal_infeasibility=np.nan,
+        dual_infeasibility=np.nan,
+        iterations=0,
+        block_values=[],
+        message=message,
+    )
+
+
+def _independent_rows(a_mat: np.ndarray, b: np.ndarray):
+    """The sorted indices of the rows of a_mat that a pivoted QR factorization
+    keeps as independent, and a message when the dropped rows' right-hand
+    sides contradict the kept ones (None when they agree)."""
+    if b.size == 0:
+        return np.zeros(0, dtype=int), None
+    _, r, perm = scipy.linalg.qr(a_mat.T, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r))
+    thresh = RANK_TOL * max(1.0, diag[0] if diag.size else 0.0)
+    rank = int(np.sum(diag > thresh))
+    keep = np.sort(perm[:rank])
+    drop = np.sort(perm[rank:])
+    if drop.size:
+        # Dependent rows must also be consistent in their right-hand sides,
+        # otherwise the equalities have no solution at all.
+        w, *_ = np.linalg.lstsq(a_mat[keep].T, a_mat[drop].T, rcond=None)
+        resid = np.max(np.abs(w.T @ b[keep] - b[drop]))
+        if resid > 1e-8 * (1.0 + np.max(np.abs(b))):
+            return keep, f"equality constraints are inconsistent (residual {resid:.2e})"
+    return keep, None
+
+
 class _Active:
     """IPM state of the instances still iterating, one row per instance:
-    its position in the batch, objective, iterate, residuals, complementarity
+    its position in the batch, program (the constraint rows ``a`` and each
+    group's ``a_blocks``), objective, iterate, residuals, complementarity
     mu, stall count and best iterate so far (x, its (int_p, int_d, pinf,
-    dinf), score)."""
+    dinf), score). The program arrays of a stack of one hold one row, which
+    every instance shares: keep slices them only when they hold a row per
+    instance."""
 
     __slots__ = (
         "index", "c", "dinf_scale", "x", "z", "y", "rp", "rd", "rp_tol", "mu",
-        "stall", "best_x", "best_stats", "best_score",
+        "stall", "best_x", "best_stats", "best_score", "a", "a_blocks",
     )
 
     def keep(self, rows: np.ndarray) -> None:
         for name in self.__slots__:
-            setattr(self, name, getattr(self, name)[rows])
+            if name not in ("a", "a_blocks"):
+                setattr(self, name, getattr(self, name)[rows])
+        if len(self.a) == len(rows):
+            self.a = self.a[rows]
+            self.a_blocks = [blocks[rows] for blocks in self.a_blocks]
 
 
 class PreparedSdp:
@@ -660,7 +710,11 @@ class PreparedSdp:
 
     def __init__(self, dims, a, b) -> None:
         """``a`` holds one equality row per entry of ``b`` over the hvec
-        coordinates of every block, d_j^2 columns per block in block order."""
+        coordinates of every block, d_j^2 columns per block in block order:
+        one program, shape (m, n_cols), or a stack of k programs that share
+        the block dimensions and ``b``, shape (k, m, n_cols). One program is
+        a stack of one. Redundant rows are found per program, and a stack
+        whose programs keep different rows raises ValueError."""
         self.dims = tuple(int(d) for d in dims)
         by_dim: dict[int, list[int]] = {}
         for j, d in enumerate(self.dims):
@@ -680,9 +734,14 @@ class PreparedSdp:
         a = np.asarray(a, dtype=np.float64)
         b = np.asarray(b, dtype=np.float64)
         m = b.size
-        if b.ndim != 1 or a.shape != (m, self.n_cols):
-            raise ValueError(f"expected a ({m}, {self.n_cols}) constraint matrix")
-        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        stack = a[None] if a.ndim == 2 else a
+        if b.ndim != 1 or stack.ndim != 3 or stack.shape[1:] != (m, self.n_cols):
+            raise ValueError(
+                f"expected a ({m}, {self.n_cols}) constraint matrix or a stack of them"
+            )
+        if len(stack) == 0:
+            raise ValueError("a stack needs at least one program")
+        if not (np.isfinite(stack).all() and np.isfinite(b).all()):
             raise ValueError("equality rows must be finite")
         # One gather regroups the block-order columns by dimension; the
         # objectives take the same gather.
@@ -693,41 +752,30 @@ class PreparedSdp:
                 for g in self.groups
             ]
         )
-        a_mat = a[:, self._order]
+        a_mat = stack[:, :, self._order]
 
-        self.failure: str | None = None
-        if m > 0:
-            _, r, perm = scipy.linalg.qr(a_mat.T, mode="economic", pivoting=True)
-            diag = np.abs(np.diag(r))
-            thresh = RANK_TOL * max(1.0, diag[0] if diag.size else 0.0)
-            rank = int(np.sum(diag > thresh))
-            keep = np.sort(perm[:rank])
-            drop = np.sort(perm[rank:])
-            self.a_red = a_mat[keep]
-            self.b_red = b[keep]
-            if drop.size:
-                # Dependent rows must also be consistent in their right-hand
-                # sides, otherwise the equalities have no solution at all.
-                w, *_ = np.linalg.lstsq(self.a_red.T, a_mat[drop].T, rcond=None)
-                implied = w.T @ self.b_red
-                resid = np.max(np.abs(implied - b[drop]))
-                if resid > 1e-8 * (1.0 + np.max(np.abs(b))):
-                    self.failure = (
-                        f"equality constraints are inconsistent (residual {resid:.2e})"
-                    )
-        else:
-            self.a_red = np.zeros((0, self.n_cols))
-            self.b_red = np.zeros(0)
-        self.m = self.a_red.shape[0]
+        # Per program, a message when its equalities have no solution.
+        self.failures: list = []
+        keep = None
+        for rows in a_mat:
+            kept, failure = _independent_rows(rows, b)
+            if keep is not None and not np.array_equal(kept, keep):
+                raise ValueError("the programs of a stack must keep the same rows")
+            keep = kept
+            self.failures.append(failure)
+        self.a_red = a_mat[:, keep]
+        self.b_red = b[keep]
+        self.m = self.a_red.shape[1]
 
         # The IPM works in cone coordinates: a_red's columns of each group
         # are the dual-side images of its hvec columns.
+        k = len(a_mat)
         for g in self.groups:
             cols = slice(g.col_start, g.col_stop)
-            shape = (self.m, len(g.blocks), g.dim * g.dim)
-            a3 = g.dual_coords(self.a_red[:, cols].reshape(shape))
-            self.a_red[:, cols] = a3.reshape(self.a_red[:, cols].shape)
-            g.a_blocks = np.ascontiguousarray(a3.transpose(1, 0, 2))
+            shape = (k, self.m, len(g.blocks), g.dim * g.dim)
+            a3 = g.dual_coords(self.a_red[:, :, cols].reshape(shape))
+            self.a_red[:, :, cols] = a3.reshape(self.a_red[:, :, cols].shape)
+            g.a_blocks = np.ascontiguousarray(a3.transpose(0, 2, 1, 3))
         self._x_start = self._concat(lambda g: g.x0)
         self._z_start = self._concat(lambda g: g.z0)
         self._dual_weight = self._concat(lambda g: np.full(g.dim * g.dim, g.dual_weight))
@@ -788,53 +836,53 @@ class PreparedSdp:
         max_iter: int = DEFAULT_MAX_ITER,
     ) -> list:
         """Maximize each row of ``objectives`` (k, n_cols), laid out as for
-        solve_with, in one IPM loop over all of them. Solution i is bit for
-        bit the one solve_with gives for objective i alone."""
+        solve_with, in one IPM loop over all of them: every row over a
+        program of one, or row i over program i of a stack of k. Solution i
+        is bit for bit the one solve_with gives for objective i alone over
+        its program alone. An instance whose program's equalities have no
+        solution ends NumericalFailure at once."""
         objectives = np.asarray(objectives, dtype=np.float64)
         if objectives.ndim != 2 or objectives.shape[1] != self.n_cols:
             raise ValueError(f"expected objectives of {self.n_cols} hvec coordinates")
         if not np.isfinite(objectives).all():
             raise ValueError("objectives must be finite")
         k_in = len(objectives)
+        n_programs = len(self.a_red)
+        if n_programs not in (1, k_in):
+            raise ValueError(
+                f"a stack of {n_programs} programs takes one objective each"
+            )
         if k_in == 0:
             return []
-        if self.failure is not None:
-            return [
-                SdpSolution(
-                    status=STATUS_NUMERICAL_FAILURE,
-                    primal_value=np.nan,
-                    dual_value=np.nan,
-                    gap=np.nan,
-                    primal_infeasibility=np.nan,
-                    dual_infeasibility=np.nan,
-                    iterations=0,
-                    block_values=[],
-                    message=self.failure,
-                )
-                for _ in range(k_in)
-            ]
+        failures = self.failures * k_in if n_programs == 1 else self.failures
+        out: list = [None if f is None else _failed_solution(f) for f in failures]
+        live = [i for i, f in enumerate(failures) if f is None]
+        if not live:
+            return out
 
-        a = self.a_red
-        a_t = a.T
         b = self.b_red
         weight = self._dual_weight
         k_total = self._degree
         norm_b = np.linalg.norm(b)
-        out: list = [None] * k_in
+        k_live = len(live)
 
         st = _Active()
-        st.index = np.arange(k_in)
-        st.c = self._cone_objectives(objectives)
+        st.index = np.array(live)
+        # A program of one stays one row that every instance shares.
+        programs = slice(None) if n_programs == 1 else live
+        st.a = self.a_red[programs]
+        st.a_blocks = [g.a_blocks[programs] for g in self.groups]
+        st.c = self._cone_objectives(objectives[live])
         st.dinf_scale = 1.0 + np.sqrt(_rowdot(st.c, weight * st.c))
-        st.x = np.tile(self._x_start, (k_in, 1))
-        st.z = np.tile(self._z_start, (k_in, 1))
-        st.y = np.zeros((k_in, self.m))
-        st.rp = st.rd = np.empty((k_in, 0))
-        st.rp_tol = st.mu = np.empty(k_in)
-        st.stall = np.zeros(k_in, dtype=int)
+        st.x = np.tile(self._x_start, (k_live, 1))
+        st.z = np.tile(self._z_start, (k_live, 1))
+        st.y = np.zeros((k_live, self.m))
+        st.rp = st.rd = np.empty((k_live, 0))
+        st.rp_tol = st.mu = np.empty(k_live)
+        st.stall = np.zeros(k_live, dtype=int)
         st.best_x = st.x.copy()
-        st.best_stats = np.full((k_in, 4), np.nan)
-        st.best_score = np.full(k_in, np.inf)
+        st.best_stats = np.full((k_live, 4), np.nan)
+        st.best_score = np.full(k_live, np.inf)
         it = 0
 
         # Each instance's decisions are taken on Python floats, one
@@ -858,8 +906,8 @@ class PreparedSdp:
 
         for it in range(1, max_iter + 1):
             x, z, y, c = st.x, st.z, st.y, st.c
-            st.rp = rp = b - _matvec(a, x)
-            st.rd = rd = c - _matvec(a_t, y) - z
+            st.rp = rp = b - _matvec(st.a, x)
+            st.rd = rd = c - _matvec(np.swapaxes(st.a, 1, 2), y) - z
             all_int_p = _rowdot(c, x).tolist()
             all_int_d = _rowdot(y, b).tolist()
             rp_norm = np.sqrt(_rowdot(rp, rp))
@@ -925,7 +973,7 @@ class PreparedSdp:
                     # conditioning of blocks near the boundary, and near a
                     # degenerate optimum that leaves a primal residual the
                     # refinement cannot remove.
-                    fac, failed = self._factor_scaled_rows(scal, k)
+                    fac, failed = self._factor_scaled_rows(st.a_blocks, scal, k)
                     message = "Schur complement factorization failed"
                 if not failed:
                     break
@@ -942,7 +990,9 @@ class PreparedSdp:
             lam = self._per_group(k, lambda gi, g: scal[gi].lam)
 
             # Predictor: aim straight at the boundary.
-            dx_a, _, dz_a, dxs_a, dzs_a = self._newton(rp, rd, rp_tol, -lam, scal, w_rd, fac)
+            dx_a, _, dz_a, dxs_a, dzs_a = self._newton(
+                st.a, rp, rd, rp_tol, -lam, scal, w_rd, fac
+            )
             ap_aff, ad_aff = np.minimum(1.0, self._max_steps(k, scal, dxs_a, dzs_a))
             mu_aff = _rowdot(x + ap_aff[:, None] * dx_a, z + ad_aff[:, None] * dz_a) / k_total
             sigma_mu = np.array(
@@ -966,7 +1016,9 @@ class PreparedSdp:
                     return s.solve(r)
 
                 gt = self._per_group(k, rhs)
-                dx, dy, dz, dxs, dzs = self._newton(rp, rd, rp_tol, gt, scal, w_rd, fac)
+                dx, dy, dz, dxs, dzs = self._newton(
+                    st.a, rp, rd, rp_tol, gt, scal, w_rd, fac
+                )
                 steps = self._max_steps(k, scal, dxs, dzs)
                 ap, ad = np.minimum(1.0, _STEP_FRACTION * steps)
                 return dx, dy, dz, ap, ad
@@ -1034,16 +1086,17 @@ class PreparedSdp:
 
     # -- numerical pieces -------------------------------------------------
 
-    def _factor_scaled_rows(self, scal, k: int):
-        """Q and R of (A W^T)^T = Q R per instance, and the list of the
-        instances whose R is singular (when not empty, no factors)."""
+    def _factor_scaled_rows(self, a_blocks, scal, k: int):
+        """Q and R of (A W^T)^T = Q R per instance, given each group's
+        constraint columns a_blocks, and the list of the instances whose R is
+        singular (when not empty, no factors)."""
         m = self.m
         if m == 0:
             return (np.zeros((k, self.n_cols, 0)), np.zeros((k, 0, 0))), []
         parts = []
-        for g, s in zip(self.groups, scal):
+        for g, blocks, s in zip(self.groups, a_blocks, scal):
             d2 = g.dim * g.dim
-            rows = np.matmul(g.a_blocks, s.wt.reshape(k, len(g.blocks), d2, d2))
+            rows = np.matmul(blocks, s.wt.reshape(k, len(g.blocks), d2, d2))
             parts.append(rows.transpose(0, 1, 3, 2).reshape(k, -1, m))
         q, r = _qr(parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1))
         diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
@@ -1056,14 +1109,14 @@ class PreparedSdp:
         """Apply each group's W (op "w") or W^T (op "w_t") to instance rows."""
         return self._per_group(k, lambda gi, g: getattr(scal[gi], op)(g.seg(vecs)))
 
-    def _newton(self, rp, rd, rp_tol, gt, scal, w_rd, fac):
+    def _newton(self, a, rp, rd, rp_tol, gt, scal, w_rd, fac):
         """Solve the scaled Newton system
 
             A dx = rp,   A^T dy + dz = rd,   W^-T dx + W dz = gt
 
-        per instance row for (dx, dy, dz) given the complementarity
-        right-hand side gt in the scaled frame, and return the scaled
-        directions W^-T dx and W dz too.
+        per instance row for (dx, dy, dz), with A the instance's rows in
+        ``a``, given the complementarity right-hand side gt in the scaled
+        frame, and return the scaled directions W^-T dx and W dz too.
 
         With Q R = (A W^T)^T, the scaled primal direction is
         gt - W rd + Q R dy. Starting from dy = 0, each pass solves
@@ -1084,7 +1137,7 @@ class PreparedSdp:
         dx = self._scaled(k, scal, "w_t", dxs)
         going = t_sum = None
         for _ in range(3):
-            e1 = rp - _matvec(self.a_red, dx)
+            e1 = rp - _matvec(a, dx)
             more = _rowdot(e1, e1) > rp_tol
             going = more if going is None else going & more
             n_going = np.count_nonzero(going)
@@ -1110,7 +1163,7 @@ class PreparedSdp:
             dy = np.empty_like(rp)
             for i in range(k):
                 dy[i] = trtrs(r[i], t_sum[i])[0]
-        dz = rd - _matvec(self.a_red.T, dy)
+        dz = rd - _matvec(np.swapaxes(a, 1, 2), dy)
         return dx, dy, dz, dxs, self._scaled(k, scal, "w", dz)
 
     def _interior(self, vecs: np.ndarray) -> np.ndarray:
@@ -1213,10 +1266,12 @@ class ProgramBuilder:
     that PreparedSdp takes: d_j^2 hvec columns per block, in block order.
 
     An operator equation sum_j T_j = R of dimension d adds d^2 rows, the hvec
-    coordinates of both sides. A term is either a real scalar c multiplying
-    a block of dimension d, which writes c I on that block's columns, or a
-    matrix M multiplying a 1x1 (scalar) block, which writes the one column
-    hvec((M + M^H) / 2). A scalar row adds one row, hvec of each coefficient.
+    coordinates of both sides; R is a real scalar (d = 1), a
+    HermitianOperator or a d x d array, of which the Hermitian part counts.
+    A term is either a real scalar c multiplying a block of dimension d,
+    which writes c I on that block's columns, or a matrix M multiplying a
+    1x1 (scalar) block, which writes the one column hvec((M + M^H) / 2). A
+    scalar row adds one row, hvec of each coefficient.
     """
 
     def __init__(self, dims) -> None:
@@ -1243,12 +1298,13 @@ class ProgramBuilder:
 
     def add_operator_equation(self, terms: dict, rhs) -> None:
         if isinstance(rhs, HermitianOperator):
-            dim = rhs.dim
             rhs_vec = hvec(rhs.entries)
+        elif np.ndim(rhs) == 2:
+            rhs_vec = hermitian_hvec(rhs)
         else:
-            dim = 1
             rhs_vec = np.array([float(rhs)])
-        d2 = dim * dim
+        d2 = rhs_vec.size
+        dim = math.isqrt(d2)
         rows = np.zeros((d2, int(self._start[-1])))
         scalar_cols, scalars = [], []
         for j, coeff in terms.items():

@@ -226,7 +226,7 @@ def _add_parity_rows(builder: ProgramBuilder, scenario: Scenario, block) -> None
     """The mixing equivalences on 2x2 blocks: per constraint string r, the
     blocks of the preparations on side 0 of r sum to those on side 1.
     block(a, xi) is the block of preparation (a, x_strings[xi])."""
-    zero = HermitianOperator.zeros(2)
+    zero = np.zeros((2, 2))
     for r in scenario.constraint_strings:
         terms = {
             block(a, xi): 1.0 if scenario.parity_side(r, a, x) == 0 else -1.0
@@ -244,8 +244,8 @@ def _ensemble_program(n: int):
     preps = scenario.preparations
     n_x = len(scenario.x_strings)
     builder = ProgramBuilder([2] * len(preps))
-    ident = HermitianOperator(np.eye(2))
-    zero = HermitianOperator.zeros(2)
+    ident = np.eye(2)
+    zero = np.zeros((2, 2))
     for xi in range(n_x):
         builder.add_scalar_row({xi: ident, n_x + xi: ident}, 1.0)
     _add_parity_rows(builder, scenario, lambda a, xi: a * n_x + xi)
@@ -355,7 +355,7 @@ def _alice_program(n: int):
     scenario = Scenario(n)
     n_x = len(scenario.x_strings)
     builder = ProgramBuilder([2] * (2 * n_x))
-    ident = HermitianOperator(np.eye(2))
+    ident = np.eye(2)
     for xi in range(n_x):
         builder.add_operator_equation({2 * xi: 1.0, 2 * xi + 1: 1.0}, ident)
     _add_parity_rows(builder, scenario, lambda a, xi: 2 * xi + a)

@@ -177,10 +177,12 @@ def test_criterion_5_threshold_compatibility_replication():
             )
             summary, _ = run_conjecture1(cfg)
             counts = summary.counts
+            margin = summary.distributions["jm_margin"]
             parts.append(
                 f"n={n}: {counts['post_selected']} post-selected, "
                 f"{counts['incompatible_at_threshold']} incompatible at v, "
-                f"{counts['compatible_at_probe']} compatible at probe"
+                f"{counts['compatible_at_probe']} compatible at probe, "
+                f"v*/v-1 in [{margin['min']:.1e}, {margin['max']:.1e}]"
             )
             assert counts["errors"] == 0
             assert counts["post_selected"] >= 200

@@ -113,6 +113,47 @@ def test_depolarized_report_matches_a_direct_solve(n):
             assert moved.kind == direct.kind
 
 
+def _report_bits(rep):
+    """Every field of a report; floats by repr, which tells all doubles apart."""
+    return tuple(repr(value) for value in rep.to_json().values())
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_batched_jm_reports_match_per_set_solves(n):
+    """A sequence of sets is one stack of parent-search programs solved in
+    one batched IPM run, and each report is bit for bit its set's solve
+    alone, in any order. Sharp sets on random axes stay below the cap;
+    depolarized to 0.4 they reach it."""
+    rng = np.random.default_rng(4200 + n)
+    sharp = [_sharp_set(*rng.normal(size=(n, 3))) for _ in range(3)]
+    _, drawn = sample_random_povm_set(rng, n)
+    sets = sharp + [
+        depolarize_measurements(sharp[0], 0.4),
+        drawn,
+        depolarize_measurements(sharp[1], 0.8),
+    ]
+    single = [jm_critical_visibility(mset) for mset in sets]
+    crits = {rep.critical_visibility for rep in single}
+    assert min(crits) < 0.9 and max(crits) > 1.0 - 1e-9
+    alone = [_report_bits(rep) for rep in single]
+    assert [_report_bits(rep) for rep in jm_critical_visibility(sets)] == alone
+    backwards = jm_critical_visibility(sets[::-1])[::-1]
+    assert [_report_bits(rep) for rep in backwards] == alone
+    one = jm_critical_visibility(sets[2:3])
+    assert [_report_bits(rep) for rep in one] == alone[2:3]
+
+
+def test_batched_jm_input_checks():
+    pair = _sharp_set((0, 0, 1), (1, 0, 0))
+    triple = _sharp_set((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert jm_critical_visibility([]) == []
+    with pytest.raises(ValueError, match="same number of settings"):
+        jm_critical_visibility([pair, triple])
+    too_many = _sharp_set(*np.random.default_rng(1).normal(size=(9, 3)))
+    with pytest.raises(ValueError, match="refusing n > 8"):
+        jm_critical_visibility([pair, too_many])
+
+
 @pytest.mark.parametrize("w", [0.0, -0.1, 1.5, float("nan")])
 def test_depolarized_report_refuses_visibilities_outside_the_unit_interval(w):
     rep = jm_critical_visibility(_sharp_set((0, 0, 1), (1, 0, 0)))

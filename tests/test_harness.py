@@ -20,7 +20,11 @@ from steercert.harness import (
     run_witness_opt,
     sample_seed,
 )
-from steercert.quantum import depolarize_measurements, sample_random_povm_set
+from steercert.quantum import (
+    MeasurementSet,
+    depolarize_measurements,
+    sample_random_povm_set,
+)
 from steercert.tolerances import DEFAULT_FEAS_TOL, DEFAULT_GAP_TOL
 from steercert.witness import Scenario, optimize_ensemble
 
@@ -109,16 +113,18 @@ def _stripped(rec) -> str:
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_conjecture1_chunks_match_per_sample_solves(n):
     """Two full chunks and a partial one, in one process and in three: every
-    record is the one a batch-of-one ensemble solve of its seed gives."""
+    record is the one that a batch-of-one ensemble solve of its seed and,
+    when post-selected, a batch-of-one JM solve of its probe set give."""
     samples = 2 * harness.conj1_chunk(n) + 3
     expected = []
     for i in range(samples):
         seed = sample_seed(11, i)
         params, mset = sample_random_povm_set(np.random.default_rng(seed), n)
         res = optimize_ensemble(Scenario(n), mset)
-        rec = harness._conjecture1_record(
-            i, seed, n, params, mset, res, DEFAULT_GAP_TOL, DEFAULT_FEAS_TOL
-        )
+        rec = harness._sample_record(i, seed, n, params, res)
+        if rec.post_selected:
+            rep = jm_critical_visibility(depolarize_measurements(mset, rec.probe_v))
+            harness._add_jm(rec, rep, DEFAULT_GAP_TOL)
         expected.append(_stripped(rec))
     assert any('"post_selected": true' in rec for rec in expected)
     for threads in (1, 3):
@@ -134,33 +140,112 @@ def test_conjecture1_chunks_match_per_sample_solves(n):
     [
         ("draw", "RuntimeError: draw failed"),
         ("check", "ValueError: measurement count does not match the scenario"),
+        ("ensemble", "RuntimeError: ensemble solve failed"),
+        ("probe", "ValueError: parent search is exponential in n; refusing n > 8"),
+        ("jm", "RuntimeError: jm solve failed"),
     ],
 )
 def test_conjecture1_error_stays_with_its_sample(monkeypatch, fault, error):
-    """Sample 5, in the middle of the first chunk, fails its draw or hands
-    the batched solve a set its check refuses."""
+    """Sample 5, in the middle of the first chunk, fails its draw, hands the
+    batched ensemble solve a set its check refuses, or makes that solve
+    raise; sample 6, post-selected with others in its chunk, has a probe
+    set the JM check refuses or makes the batched JM solve raise. A refused
+    set costs the others no second solve; a batch that raises is solved set
+    by set. Either way only the bad sample gets an error record."""
     cfg = ExperimentConfig(
         experiment="conjecture1", n=3, samples=harness.conj1_chunk(3) + 2, seed=4
     )
     _, clean = run_conjecture1(cfg)
-    bad = sample_seed(4, 5)
+    assert clean[6].post_selected and not clean[5].post_selected
+    bad = 6 if fault in ("probe", "jm") else 5
+    bad_seed = sample_seed(4, bad)
+    marked = []  # the bad sample's set, then its probe set
+    solved = {"ensemble": [], "jm": []}
 
     def draw(rng, n):
-        if rng.bit_generator.seed_seq.entropy != bad:
+        if rng.bit_generator.seed_seq.entropy != bad_seed:
             return sample_random_povm_set(rng, n)
         if fault == "draw":
             raise RuntimeError("draw failed")
-        return sample_random_povm_set(rng, n - 1)
+        params, mset = sample_random_povm_set(rng, n - 1 if fault == "check" else n)
+        marked.append(mset)
+        return params, mset
+
+    def ensemble(scenario, sets, **kwargs):
+        solved["ensemble"].append(len(sets))
+        if fault == "ensemble" and any(mset is marked[0] for mset in sets):
+            raise RuntimeError("ensemble solve failed")
+        return optimize_ensemble(scenario, sets, **kwargs)
+
+    def depolarize(mset, v):
+        out = depolarize_measurements(mset, v)
+        if marked and mset is marked[0]:
+            if fault == "probe":
+                out = MeasurementSet(list(out.settings) * 3)
+            marked.append(out)
+        return out
+
+    def jm(sets, *args, **kwargs):
+        solved["jm"].append(len(sets))
+        if fault == "jm" and any(mset is marked[-1] for mset in sets):
+            raise RuntimeError("jm solve failed")
+        return jm_critical_visibility(sets, *args, **kwargs)
 
     monkeypatch.setattr(harness, "sample_random_povm_set", draw)
+    monkeypatch.setattr(harness, "optimize_ensemble", ensemble)
+    monkeypatch.setattr(harness, "depolarize_measurements", depolarize)
+    monkeypatch.setattr(harness, "jm_critical_visibility", jm)
     summary, records = run_conjecture1(cfg)
     assert summary.counts["errors"] == 1 and not summary.ok
-    assert records[5].error == error
-    assert not records[5].post_selected and records[5].witness_value is None
-    others = [i for i in range(len(records)) if i != 5]
+    assert records[bad].error == error
+    assert not records[bad].post_selected and records[bad].witness_value is None
+    others = [i for i in range(len(records)) if i != bad]
     assert [_stripped(records[i]) for i in others] == [
         _stripped(clean[i]) for i in others
     ]
+    post = sum(rec.post_selected for rec in clean)
+    if fault == "ensemble":
+        assert solved["ensemble"] == [16] + [1] * 16 + [2]
+    else:
+        assert solved["ensemble"] == [16 - (fault in ("draw", "check")), 2]
+    if fault == "jm":
+        assert solved["jm"] == [post] + [1] * post
+    else:
+        assert solved["jm"] == [post - (fault == "probe")]
+
+
+def test_conjecture1_jm_margin_and_its_distribution(tmp_path):
+    """Below the cap, jm_margin is v* / v - 1 with v* = crit_at_probe *
+    probe; the paper's equality v* = v holds to within the verdict margin.
+    The summary gives the margins' count, min, p50 and max."""
+    out = str(tmp_path / "conj1")
+    cfg = ExperimentConfig(
+        experiment="conjecture1", n=3, samples=20, seed=1, out=out
+    )
+    summary, records = run_conjecture1(cfg)
+    margins = []
+    for rec in records:
+        below_cap = rec.post_selected and rec.jm_crit_at_probe < 1.0
+        assert (rec.jm_margin is not None) == below_cap
+        if below_cap:
+            expected = rec.jm_crit_at_probe * rec.probe_v / rec.threshold_v - 1.0
+            assert rec.jm_margin == expected
+            assert abs(rec.jm_margin) <= 1e-8
+            margins.append(rec.jm_margin)
+    assert margins
+    spread = summary.distributions["jm_margin"]
+    assert spread == {
+        "count": len(margins),
+        "min": min(margins),
+        "p50": float(np.median(margins)),
+        "max": max(margins),
+    }
+    with open(out + ".summary.json", encoding="utf-8") as fh:
+        written = RunSummary.from_json(json.load(fh))
+    assert written.distributions == {"jm_margin": spread}
+    cfg = ExperimentConfig(experiment="conjecture1", n=2, samples=0)
+    empty, _ = run_conjecture1(cfg)
+    assert empty.distributions == {"jm_margin": {"count": 0}}
 
 
 def test_conjecture1_counts_ensemble_solves_short_of_optimal():
@@ -191,11 +276,13 @@ def test_conjecture1_iteration_tail_sample_reaches_optimal():
 
 
 def test_conjecture1_solves_jm_once_per_post_selected_sample(monkeypatch):
+    """One JM instance per post-selected sample, in one batched call per
+    chunk: 30 samples are two chunks at n = 3 and at n = 4."""
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return jm_critical_visibility(*args, **kwargs)
+    def counted(msets, *args, **kwargs):
+        calls.append(len(msets))
+        return jm_critical_visibility(msets, *args, **kwargs)
 
     monkeypatch.setattr(harness, "jm_critical_visibility", counted)
     post_selected = []
@@ -206,7 +293,8 @@ def test_conjecture1_solves_jm_once_per_post_selected_sample(monkeypatch):
         post_selected += [rec for rec in records if rec.post_selected]
     monkeypatch.undo()
     assert post_selected
-    assert len(calls) == len(post_selected)
+    assert sum(calls) == len(post_selected)
+    assert len(calls) <= 4 and max(calls) > 1
     for rec in post_selected:
         _, mset = sample_random_povm_set(np.random.default_rng(rec.seed), rec.n)
         for at in ("threshold", "probe"):

@@ -625,6 +625,18 @@ def test_builder_operator_equation():
     assert total.allclose(ident, tol=1e-6)
 
 
+def test_builder_takes_a_plain_matrix_right_hand_side():
+    """A 2-D array right-hand side writes the rows a HermitianOperator of
+    its Hermitian part writes, bit for bit."""
+    rng = np.random.default_rng(8)
+    rhs = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    plain, wrapped = ProgramBuilder([3, 3]), ProgramBuilder([3, 3])
+    plain.add_operator_equation({0: 1.0, 1: -2.0}, rhs)
+    wrapped.add_operator_equation({0: 1.0, 1: -2.0}, HermitianOperator(rhs))
+    for got, want in zip(plain.constraint_matrix(), wrapped.constraint_matrix()):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_builder_matrix_term_on_scalar_block():
     # X = t * diag(1, 2) with Tr X = 1 forces t = 1/3.
     builder = ProgramBuilder([2, 1])
@@ -698,7 +710,10 @@ def _reference_rows(builder):
             rows.append(row)
             rhs.append(float(r))
             continue
-        rhs_mat = r.entries if isinstance(r, HermitianOperator) else np.array([[r]])
+        if isinstance(r, HermitianOperator):
+            rhs_mat = r.entries
+        else:
+            rhs_mat = np.asarray(r) if np.ndim(r) == 2 else np.array([[r]])
         for bk in hermitian_basis(rhs_mat.shape[0]):
             row = np.zeros(start[-1])
             for j, c in terms.items():
@@ -780,7 +795,7 @@ def test_prepared_gathers_block_columns_by_dimension():
         d2 = g.dim * g.dim
         cols = slice(g.col_start + pos * d2, g.col_start + (pos + 1) * d2)
         expected = g.dual_coords(a[:, start[j] : start[j + 1]])
-        assert np.array_equal(prep.a_red[:, cols], expected)
+        assert np.array_equal(prep.a_red[0][:, cols], expected)
 
 
 def _solution_key(sol):
@@ -857,3 +872,75 @@ def test_batch_input_checks():
     bad[1, 0] = np.nan
     with pytest.raises(ValueError, match="finite"):
         prep.solve_batch(bad)
+
+
+_STACK_DIMS = (3, 1, 2, 2, 1)
+
+
+def _stacked_rows(seed: int, k: int, dependent=()):
+    """The rows of k programs over blocks of mixed dimension that share the
+    right-hand side and differ in random coefficients. The last row is a
+    tenth of the sum of the two scalar rows before it for a program in
+    dependent, which is consistent, and a tenth of their difference
+    otherwise, which contradicts the right-hand side. It is small, so the
+    pivoted QR drops it in either case."""
+    rng = np.random.default_rng(seed)
+    stack = []
+    for i in range(k):
+        builder = ProgramBuilder(_STACK_DIMS)
+        skew = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        builder.add_operator_equation(
+            {2: rng.normal(), 3: rng.normal(), 1: skew}, np.eye(2)
+        )
+        builder.add_operator_equation({0: 1.0 + rng.random()}, 3.0 * np.eye(3))
+        c = 10.0 * rng.normal()
+        builder.add_scalar_row({1: 10.0, 4: c}, 15.0)
+        builder.add_scalar_row({1: -10.0, 4: 10.0}, 15.0)
+        sign = 1.0 if i in dependent else -1.0
+        builder.add_scalar_row(
+            {1: 0.1 * (10.0 - 10.0 * sign), 4: 0.1 * (c + 10.0 * sign)}, 3.0
+        )
+        stack.append(builder.constraint_matrix())
+    return np.array([a for a, _ in stack]), stack[0][1]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_stack_instances_match_their_programs_alone():
+    """solve_batch pairs objective i with program i of a stack, and each
+    solution is bit for bit that of program i prepared and solved alone;
+    the instances stop at different iterations, some unbounded. A program
+    whose equalities contradict each other fails alone."""
+    a, b = _stacked_rows(5, 6, dependent=(0, 1, 2, 3, 5))
+    stack = PreparedSdp(_STACK_DIMS, a, b)
+    assert stack.m == a.shape[1] - 1
+    objectives = np.random.default_rng(6).normal(size=(len(a), stack.n_cols))
+    for signed in (objectives, -objectives):
+        alone = [
+            _solution_key(PreparedSdp(_STACK_DIMS, a_i, b).solve_with(c))
+            for a_i, c in zip(a, signed)
+        ]
+        assert len({key[2] for key in alone}) > 2
+        assert "inconsistent" in alone[4][1]
+        assert [_solution_key(sol) for sol in stack.solve_batch(signed)] == alone
+    for i in (0, 4):
+        one = PreparedSdp(_STACK_DIMS, a[i : i + 1], b)
+        assert _solution_key(one.solve_with(objectives[i])) == _solution_key(
+            PreparedSdp(_STACK_DIMS, a[i], b).solve_with(objectives[i])
+        )
+    with pytest.raises(ValueError, match="one objective each"):
+        stack.solve_batch(objectives[:3])
+
+
+def test_stack_programs_must_keep_the_same_rows():
+    a, b = _stacked_rows(7, 2)
+    rows = a[1].copy()
+    rows[-1] = np.random.default_rng(9).normal(size=rows.shape[1])
+    with pytest.raises(ValueError, match="same rows"):
+        PreparedSdp(_STACK_DIMS, np.array([a[0], rows]), b)
+    # Each program alone is fine.
+    PreparedSdp(_STACK_DIMS, a[0], b)
+    PreparedSdp(_STACK_DIMS, rows, b)
+    with pytest.raises(ValueError, match="constraint matrix"):
+        PreparedSdp(_STACK_DIMS, a[None], b)
+    with pytest.raises(ValueError, match="at least one program"):
+        PreparedSdp(_STACK_DIMS, a[:0], b)
