@@ -58,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (experiment, help_text) in _SUBCOMMANDS.items():
         sub = subparsers.add_parser(name, help=help_text)
         if experiment in _CHECK_MODE:
-            sub.add_argument("input", help="JSON input file")
+            sub.add_argument("input_path", metavar="input", help="JSON input file")
         if experiment == "vn_table":
             sub.add_argument(
                 "--full",
@@ -84,20 +84,10 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     data["experiment"] = experiment
     if isinstance(data.get("n"), list):
         data["n"] = tuple(data["n"])
-    overrides = {
-        "n": _parse_n(args.n, experiment),
-        "samples": args.samples,
-        "seed": args.seed,
-        "restarts": args.restarts,
-        "threads": args.threads,
-        "gap_tol": args.gap_tol,
-        "feas_tol": args.feas_tol,
-        "out": args.out,
-        "full": getattr(args, "full", None),
-        "input_path": getattr(args, "input", None),
-    }
+    # Every flag that names a config field overrides the file's value.
+    overrides = dict(vars(args), n=_parse_n(args.n, experiment))
     for key, value in overrides.items():
-        if value is not None:
+        if key in ExperimentConfig.__dataclass_fields__ and value is not None:
             data[key] = value
     return ExperimentConfig.from_json(data)
 
@@ -106,7 +96,8 @@ def _print_summary(summary) -> None:
     print(f"experiment: {summary.experiment}")
     for est in summary.estimates:
         line = f"n={est['n']} estimate={est['estimate']:.6f}"
-        line += f" bracket=[{est['bracket_lo']:.6f}, {est['bracket_hi']:.6f}]"
+        if "bracket_lo" in est:
+            line += f" bracket=[{est['bracket_lo']:.6f}, {est['bracket_hi']:.6f}]"
         print(line)
     counts = " ".join(f"{k}={v}" for k, v in sorted(summary.counts.items()))
     print(f"counts: {counts}")

@@ -47,6 +47,7 @@ from .sdp import STATUS_OPTIMAL
 from .tolerances import DEFAULT_FEAS_TOL, DEFAULT_GAP_TOL
 from .witness import (
     Scenario,
+    check_ensemble_input,
     noncontextual_bound,
     noncontextual_bound_oracle,
     optimize_ensemble,
@@ -276,19 +277,28 @@ def _error_record(index: int, seed: int, n: int, exc: Exception) -> SampleRecord
     )
 
 
+def _threshold(res, n: int) -> float | None:
+    """The visibility threshold of a post-selected ensemble result (Optimal,
+    and above the classical bound by POST_SELECT_MARGIN); None for any
+    other. The dual value upper-bounds the true optimum, so the derived
+    visibility under-shoots the exact threshold and the verdict at it is
+    robust to solver error."""
+    bound = noncontextual_bound(n)
+    if res.status == STATUS_OPTIMAL and res.value > bound + POST_SELECT_MARGIN:
+        return threshold_visibility(res.dual_value, TRIVIAL_BASELINE, n)
+    return None
+
+
 def _sample_record(index, seed, n, params, res) -> SampleRecord:
     """The record of one sample from its ensemble result. A post-selected
     sample also gets its threshold and probe visibilities here, and its JM
     fields from _add_jm."""
-    post = (
-        res.status == STATUS_OPTIMAL
-        and res.value > noncontextual_bound(n) + POST_SELECT_MARGIN
-    )
-    record = SampleRecord(
+    v = _threshold(res, n)
+    return SampleRecord(
         sample_index=index,
         seed=seed,
         n=n,
-        post_selected=post,
+        post_selected=v is not None,
         wall_time=0.0,
         bloch=params.to_json(),
         witness_value=res.value,
@@ -296,15 +306,9 @@ def _sample_record(index, seed, n, params, res) -> SampleRecord:
         solver_status=res.status,
         solver_gap=res.gap,
         baseline=TRIVIAL_BASELINE,
+        threshold_v=v,
+        probe_v=None if v is None else min(1.0, v + PROBE_STEP),
     )
-    if post:
-        # The dual value upper-bounds the true optimum, so the derived
-        # visibility under-shoots the exact threshold and the verdict at it
-        # is robust to solver error.
-        v = threshold_visibility(res.dual_value, TRIVIAL_BASELINE, n)
-        record.threshold_v = v
-        record.probe_v = min(1.0, v + PROBE_STEP)
-    return record
 
 
 def _add_jm(record: SampleRecord, rep_p, gap_tol: float) -> None:
@@ -326,33 +330,33 @@ def _add_jm(record: SampleRecord, rep_p, gap_tol: float) -> None:
         record.jm_margin = rep_p.critical_visibility * probe / v - 1.0
 
 
-def _batched(solve, prepare, items: list) -> list:
-    """solve(inputs) over prepare(item) of every item that prepare accepts,
-    in one batch, and for an item whose prepare raises that exception: one
-    result or exception per item, in item order. prepare holds every check
-    the solve would make, so that a refused item costs the others nothing.
-    Should the batch still raise, from inside the solver, each input is
-    solved alone: an exception then stays with its item, and the others get
-    the results they get in the batch (an instance is bit for bit its
-    solve alone)."""
+def _batched(solve, check, items: list) -> list:
+    """solve(items) in one batch over every item that check accepts, and
+    for an item whose check raises that exception: one result or exception
+    per item, in item order. check makes every check the solve would make,
+    so that a refused item costs the others nothing. Should the batch still
+    raise (no checked input is known to), each accepted item is solved
+    alone: an exception then stays with its item, and the others get the
+    results they get in the batch (an instance is bit for bit its solve
+    alone)."""
     results: list = [None] * len(items)
-    inputs, slots = [], []
+    accepted = []
     for i, item in enumerate(items):
         try:
-            inputs.append(prepare(item))
-            slots.append(i)
+            check(item)
+            accepted.append(i)
         except Exception as exc:
             results[i] = exc
     try:
-        solved = solve(inputs) if inputs else []
+        solved = solve([items[i] for i in accepted]) if accepted else []
     except Exception:
         solved = []
-        for one in inputs:
+        for i in accepted:
             try:
-                solved.extend(solve([one]))
+                solved.extend(solve([items[i]]))
             except Exception as exc:
                 solved.append(exc)
-    for i, res in zip(slots, solved):
+    for i, res in zip(accepted, solved):
         results[i] = res
     return results
 
@@ -377,88 +381,63 @@ def _conjecture1_chunk(args) -> list:
     (jm_critical_visibility over a list). Each stage first checks every
     input: a sample whose draw, check, threshold or probe raises gets an
     error record and leaves the chunk, and the others keep their records;
-    so does a sample whose own solve raises. A record's wall_time is its own
-    draw and record time plus an equal share of the ensemble batch, and for
-    a post-selected sample an equal share of the JM batch."""
+    so does a sample whose own solve raises. Every record's wall_time is an
+    equal share of the chunk's ensemble stage (draws, batch and records),
+    and a post-selected record's also an equal share of its JM stage."""
     samples, n, gap_tol, feas_tol = args
-    # Per sample index, its record or the exception that ended it, and the
-    # seconds it has taken.
-    outcome: dict = {}
-    own: dict = {}
-    drawn: list = []
-    for index, seed in samples:
-        start = time.perf_counter()
-        try:
-            params, mset = sample_random_povm_set(np.random.default_rng(seed), n)
-            drawn.append((index, seed, params, mset))
-        except Exception as exc:
-            outcome[index] = exc
-        own[index] = time.perf_counter() - start
-
-    def ensemble_input(mset):
-        if mset.n != n:
-            raise ValueError("measurement count does not match the scenario")
-        check_binary_qubit(mset)
-        return mset
-
     scenario = Scenario(n)
     start = time.perf_counter()
+    records: list = [None] * len(samples)
+    drawn: list = []  # (position in the chunk, Bloch parameters, set)
+    for pos, (index, seed) in enumerate(samples):
+        try:
+            params, mset = sample_random_povm_set(np.random.default_rng(seed), n)
+            drawn.append((pos, params, mset))
+        except Exception as exc:
+            records[pos] = _error_record(index, seed, n, exc)
     results = _batched(
         lambda sets: optimize_ensemble(
             scenario, sets, gap_tol=gap_tol, feas_tol=feas_tol
         ),
-        ensemble_input,
-        [d[3] for d in drawn],
+        lambda mset: check_ensemble_input(scenario, mset),
+        [mset for _, _, mset in drawn],
     )
-    ensemble_share = (time.perf_counter() - start) / max(1, len(drawn))
-    post: list = []
-    for (index, seed, params, mset), res in zip(drawn, results):
-        start = time.perf_counter()
+    post: list = []  # (position in the chunk, probe set)
+    for (pos, params, mset), res in zip(drawn, results):
+        index, seed = samples[pos]
         try:
             if isinstance(res, Exception):
                 raise res
-            outcome[index] = record = _sample_record(index, seed, n, params, res)
+            records[pos] = record = _sample_record(index, seed, n, params, res)
             if record.post_selected:
-                post.append((record, mset))
+                post.append((pos, depolarize_measurements(mset, record.probe_v)))
         except Exception as exc:
-            outcome[index] = exc
-        own[index] += ensemble_share + time.perf_counter() - start
-
-    def probe_input(entry):
-        record, mset = entry
-        probe_set = depolarize_measurements(mset, record.probe_v)
-        check_jm_input(probe_set)
-        return probe_set
+            records[pos] = _error_record(index, seed, n, exc)
+    ensemble_share = (time.perf_counter() - start) / max(1, len(samples))
 
     start = time.perf_counter()
     reports = _batched(
         lambda sets: jm_critical_visibility(sets, gap_tol, feas_tol),
-        probe_input,
-        post,
+        check_jm_input,
+        [probe_set for _, probe_set in post],
     )
-    jm_share = (time.perf_counter() - start) / max(1, len(post))
-    for (record, _), rep in zip(post, reports):
-        start = time.perf_counter()
+    for (pos, _), rep in zip(post, reports):
         try:
             if isinstance(rep, Exception):
                 raise rep
-            _add_jm(record, rep, gap_tol)
+            _add_jm(records[pos], rep, gap_tol)
         except Exception as exc:
-            outcome[record.sample_index] = exc
-        own[record.sample_index] += jm_share + time.perf_counter() - start
-    out = []
-    for index, seed in samples:
-        record = outcome[index]
-        if isinstance(record, Exception):
-            record = _error_record(index, seed, n, record)
-        record.wall_time = own[index]
-        out.append(record)
-    return out
+            records[pos] = _error_record(*samples[pos], n, exc)
+    jm_share = (time.perf_counter() - start) / max(1, len(post))
+    for record in records:
+        record.wall_time = ensemble_share + (jm_share if record.post_selected else 0.0)
+    return records
 
 
 def _vn_entry(args) -> dict:
     n, seed, restarts, gap_tol, feas_tol = args
     start = time.perf_counter()
+    entry: dict = {"n": n, "seed": seed}
     try:
         res = seesaw_critical_visibility(
             n,
@@ -467,23 +446,15 @@ def _vn_entry(args) -> dict:
             gap_tol=gap_tol,
             feas_tol=feas_tol,
         )
-        return {
-            "n": n,
-            "seed": seed,
-            "estimate": res.v_threshold,
-            "bracket_lo": res.bracket[0],
-            "bracket_hi": res.bracket[1],
-            "value_at_threshold": res.value_at_threshold,
-            "restarts_used": res.restarts_used,
-            "wall_time": time.perf_counter() - start,
-        }
+        entry.update(
+            estimate=res.v_threshold,
+            value_at_threshold=res.value_at_threshold,
+            restarts_used=res.restarts_used,
+        )
     except Exception as exc:
-        return {
-            "n": n,
-            "seed": seed,
-            "error": f"{type(exc).__name__}: {exc}",
-            "wall_time": time.perf_counter() - start,
-        }
+        entry["error"] = f"{type(exc).__name__}: {exc}"
+    entry["wall_time"] = time.perf_counter() - start
+    return entry
 
 
 def _nc_entry(args) -> dict:
@@ -590,12 +561,7 @@ def run_vn_table(config: ExperimentConfig):
     ]
     records = _run_tasks(_vn_entry, tasks, config.threads)
     estimates = [
-        {
-            "n": rec["n"],
-            "estimate": rec["estimate"],
-            "bracket_lo": rec["bracket_lo"],
-            "bracket_hi": rec["bracket_hi"],
-        }
+        {"n": rec["n"], "estimate": rec["estimate"]}
         for rec in records
         if "estimate" in rec
     ]
@@ -751,7 +717,6 @@ def run_witness_opt(config: ExperimentConfig):
     res = optimize_ensemble(
         scenario, mset, gap_tol=config.gap_tol, feas_tol=config.feas_tol
     )
-    bound = noncontextual_bound(mset.n)
     record = {
         "input": config.input_path,
         "n": mset.n,
@@ -759,13 +724,12 @@ def run_witness_opt(config: ExperimentConfig):
         "witness_dual": res.dual_value,
         "solver_status": res.status,
         "solver_gap": res.gap,
-        "classical_bound": bound,
+        "classical_bound": noncontextual_bound(mset.n),
         "wall_time": time.perf_counter() - start,
     }
-    if res.status == STATUS_OPTIMAL and res.value > bound + POST_SELECT_MARGIN:
-        record["threshold_v"] = threshold_visibility(
-            res.dual_value, TRIVIAL_BASELINE, mset.n
-        )
+    v = _threshold(res, mset.n)
+    if v is not None:
+        record["threshold_v"] = v
     return _one_record(
         config, start, record, mset.n, res.value, res.value, res.dual_value,
         res.status != STATUS_OPTIMAL, [],

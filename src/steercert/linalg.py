@@ -18,8 +18,8 @@ class HermitianOperator:
 
     def __init__(self, entries) -> None:
         arr = np.array(entries, dtype=np.complex128)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
+            raise ValueError(f"expected a nonempty square matrix, got {arr.shape}")
         if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
             raise ValueError("matrix entries must be finite")
         arr = 0.5 * (arr + arr.conj().T)
@@ -73,7 +73,10 @@ class HermitianOperator:
 
     @classmethod
     def from_json(cls, data: dict) -> "HermitianOperator":
-        dim = int(data["dim"])
+        try:
+            dim = int(data["dim"])
+        except OverflowError:
+            raise ValueError(f"dim must be finite, got {data['dim']!r}") from None
         flat = np.array(
             [complex(re, im) for re, im in data["entries"]], dtype=np.complex128
         )

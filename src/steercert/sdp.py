@@ -13,13 +13,13 @@ deterministic bit-for-bit for identical inputs.
 
 The equalities enter as one real matrix with a row per equation and d_j^2
 hvec columns per block (below), in block order, plus the right-hand side.
-ProgramBuilder writes operator equations straight into those rows;
-operator_rows turns SdpProblem's per-block HermitianOperator coefficients
-into them. An objective takes the layout of one such row. PreparedSdp
-only maximizes; solve() maps an SdpProblem that minimizes or adds a
-constant onto that. PreparedSdp rejects non-finite rows and objectives,
-regroups the columns by block dimension with one gather and removes
-redundant rows up front by a pivoted QR factorization.
+ProgramBuilder writes equations of numpy arrays straight into those rows,
+and operator_rows turns SdpProblem's constraints into them through it. An
+objective takes the layout of one such row. PreparedSdp only maximizes;
+solve() maps an SdpProblem that minimizes or adds a constant onto that.
+PreparedSdp rejects non-finite rows and objectives, regroups the columns
+by block dimension with one gather and removes redundant rows up front by
+a pivoted QR factorization.
 
 Hermitian matrices are vectorized isometrically into R^{d^2} ("hvec"):
 diagonal entries, then sqrt(2) * real and sqrt(2) * imag of the upper
@@ -92,7 +92,6 @@ import numpy as np
 import scipy.linalg
 import scipy.linalg.lapack
 
-from .linalg import HermitianOperator
 from .tolerances import DEFAULT_FEAS_TOL, DEFAULT_GAP_TOL, DEFAULT_MAX_ITER
 
 STATUS_OPTIMAL = "Optimal"
@@ -192,8 +191,9 @@ def unhvec(vecs: np.ndarray, dim: int) -> np.ndarray:
 @dataclass
 class SdpProblem:
     """One conic program. ``objective`` and each constraint's coefficient list
-    hold one HermitianOperator per block, with None standing for a zero
-    coefficient. solve() turns the constraints into rows with operator_rows."""
+    hold one HermitianOperator (any object with ``dim`` and ``entries``) per
+    block, with None standing for a zero coefficient. solve() turns the
+    constraints into rows with operator_rows."""
 
     dims: tuple[int, ...]
     objective: list
@@ -726,10 +726,6 @@ class PreparedSdp:
             self.groups.append(g)
             col = g.col_stop
         self.n_cols = col
-        self.block_slot: dict[int, tuple[int, int]] = {}
-        for gi, g in enumerate(self.groups):
-            for pos, j in enumerate(g.blocks):
-                self.block_slot[j] = (gi, pos)
 
         a = np.asarray(a, dtype=np.float64)
         b = np.asarray(b, dtype=np.float64)
@@ -1217,21 +1213,14 @@ class PreparedSdp:
 
 def operator_rows(dims, constraints) -> tuple[np.ndarray, np.ndarray]:
     """The constraint matrix and right-hand side that PreparedSdp takes, from
-    SdpProblem constraints: one row per (coefficients, rhs) pair, holding
-    hvec of each block's coefficient (None for zero) in block order."""
-    dims = tuple(int(d) for d in dims)
-    start = _block_starts(dims)
-    a = np.zeros((len(constraints), int(start[-1])))
-    b = np.zeros(len(constraints))
-    for i, (coeffs, rhs) in enumerate(constraints):
-        b[i] = float(rhs)
-        for j, op in enumerate(coeffs):
-            if op is None:
-                continue
-            if op.dim != dims[j]:
-                raise ValueError(f"constraint {i} coefficient {j} has wrong dimension")
-            a[i, start[j] : start[j + 1]] = hvec(op.entries)
-    return a, b
+    SdpProblem constraints: one ProgramBuilder scalar row per (coefficients,
+    rhs) pair, with None for a zero coefficient."""
+    builder = ProgramBuilder(dims)
+    for coeffs, rhs in constraints:
+        builder.add_scalar_row(
+            {j: op.entries for j, op in enumerate(coeffs) if op is not None}, rhs
+        )
+    return builder.constraint_matrix()
 
 
 def solve(
@@ -1266,12 +1255,12 @@ class ProgramBuilder:
     that PreparedSdp takes: d_j^2 hvec columns per block, in block order.
 
     An operator equation sum_j T_j = R of dimension d adds d^2 rows, the hvec
-    coordinates of both sides; R is a real scalar (d = 1), a
-    HermitianOperator or a d x d array, of which the Hermitian part counts.
-    A term is either a real scalar c multiplying a block of dimension d,
-    which writes c I on that block's columns, or a matrix M multiplying a
-    1x1 (scalar) block, which writes the one column hvec((M + M^H) / 2). A
-    scalar row adds one row, hvec of each coefficient.
+    coordinates of both sides; R is a real scalar (d = 1) or a d x d array,
+    of which the Hermitian part counts. A term is either a real scalar c
+    multiplying a block of dimension d, which writes c I on that block's
+    columns, or a d x d array M multiplying a 1x1 (scalar) block, which
+    writes the one column hvec((M + M^H) / 2). A scalar row adds one row,
+    hvec of the Hermitian part of each coefficient, a d_j x d_j array.
     """
 
     def __init__(self, dims) -> None:
@@ -1284,9 +1273,7 @@ class ProgramBuilder:
         row = np.zeros((1, int(self._start[-1])))
         for j, op in coeffs.items():
             dim = self.dims[j]
-            if isinstance(op, HermitianOperator):
-                op = op.entries
-            elif np.isscalar(op):
+            if np.isscalar(op):
                 if dim != 1:
                     raise ValueError("scalar coefficients require a 1x1 block")
                 op = [[op]]
@@ -1297,9 +1284,7 @@ class ProgramBuilder:
         self._rhs.append(np.array([float(rhs)]))
 
     def add_operator_equation(self, terms: dict, rhs) -> None:
-        if isinstance(rhs, HermitianOperator):
-            rhs_vec = hvec(rhs.entries)
-        elif np.ndim(rhs) == 2:
+        if np.ndim(rhs) == 2:
             rhs_vec = hermitian_hvec(rhs)
         else:
             rhs_vec = np.array([float(rhs)])
@@ -1308,15 +1293,14 @@ class ProgramBuilder:
         rows = np.zeros((d2, int(self._start[-1])))
         scalar_cols, scalars = [], []
         for j, coeff in terms.items():
-            if isinstance(coeff, (HermitianOperator, np.ndarray)):
+            if isinstance(coeff, np.ndarray):
                 if self.dims[j] != 1:
                     raise ValueError(
                         "matrix-valued terms are only supported on scalar blocks"
                     )
-                mat = coeff.entries if isinstance(coeff, HermitianOperator) else coeff
-                if mat.shape != (dim, dim):
+                if coeff.shape != (dim, dim):
                     raise ValueError("matrix term does not match equation dimension")
-                rows[:, self._start[j]] = hermitian_hvec(mat)
+                rows[:, self._start[j]] = hermitian_hvec(coeff)
             else:
                 if self.dims[j] != dim:
                     raise ValueError(

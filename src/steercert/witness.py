@@ -255,6 +255,14 @@ def _ensemble_program(n: int):
     return scenario, builder.prepared(), scenario.targets(preps)
 
 
+def check_ensemble_input(scenario: Scenario, mset: MeasurementSet) -> None:
+    """Raise ValueError unless optimize_ensemble takes ``mset``: binary qubit
+    measurements, one per setting of the scenario."""
+    if mset.n != scenario.n:
+        raise ValueError("measurement count does not match the scenario")
+    check_binary_qubit(mset)
+
+
 def optimize_ensemble(
     scenario: Scenario,
     bob,
@@ -281,9 +289,7 @@ def optimize_ensemble(
     single = isinstance(bob, MeasurementSet)
     sets = [bob] if single else list(bob)
     for mset in sets:
-        if mset.n != scenario.n:
-            raise ValueError("measurement count does not match the scenario")
-        check_binary_qubit(mset)
+        check_ensemble_input(scenario, mset)
     if not sets:
         return []
     cached_scenario, prepared, targets = _ensemble_program(scenario.n)
@@ -331,13 +337,11 @@ class SeesawResult:
 
     v_threshold is the exact crossing of the classical bound by the strategy
     in alice_effects/bob_effects (or v_lo, if that is larger), so
-    value_at_threshold is the bound up to rounding; bracket is
-    (v_threshold, v_threshold). trace holds (v, best pool value at v) per
-    probed visibility."""
+    value_at_threshold is the bound up to rounding. trace holds (v, best
+    pool value at v) per probed visibility."""
 
     n: int
     v_threshold: float
-    bracket: tuple
     value_at_threshold: float
     trace: tuple
     alice_effects: MeasurementSet
@@ -516,11 +520,10 @@ def seesaw_critical_visibility(
     The threshold is max(v_lo, smallest crossing of the final pool), the
     returned effects are that strategy's, and value_at_threshold is its
     value there: the bound, up to rounding, unless v_lo cut the crossing.
-    The bracket is (threshold, threshold). The returned trace re-evaluates
-    the final strategy pool at every probed visibility, so it is
-    nondecreasing in v by construction. Every completed alternation run
-    contributes its per-iteration value sequence to iteration_logs; runs
-    abandoned on solver failure are discarded.
+    The returned trace re-evaluates the final strategy pool at every probed
+    visibility, so it is nondecreasing in v by construction. Every completed
+    alternation run contributes its per-iteration value sequence to
+    iteration_logs; runs abandoned on solver failure are discarded.
     """
     if not 2 <= n <= 7:
         raise ValueError("supported range is 2 <= n <= 7")
@@ -652,7 +655,6 @@ def seesaw_critical_visibility(
     return SeesawResult(
         n=n,
         v_threshold=v_threshold,
-        bracket=(v_threshold, v_threshold),
         value_at_threshold=_strategy_value(alice, bob, rhot_at(v_threshold), scenario),
         trace=tuple(trace),
         alice_effects=alice_set,

@@ -25,7 +25,7 @@ def test_jm_check_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "Incompatible" in out
-    assert "estimate=0.707107" in out
+    assert "estimate=0.707107 bracket=[" in out
 
 
 def test_invalid_n_exits_2(capsys):
@@ -57,6 +57,7 @@ def test_vn_table_command_writes_outputs(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert code == 0
     assert "wrote" in stdout
+    assert "n=2 estimate=" in stdout and "bracket" not in stdout
     assert (tmp_path / "table.jsonl").exists()
     assert (tmp_path / "table.summary.json").exists()
     assert (tmp_path / "table.summary.csv").exists()
@@ -127,6 +128,21 @@ _QUTRIT_SPLIT = [
 _ZX = [[0.0, 0.0, 1.0, 1.0, 1.0], [1.0, 0.0, 0.0, 1.0, 1.0]]
 # One more setting than the certifiers accept (MAX_SETTINGS is 8).
 _NINE_SETTINGS = [[0.0, 0.0, 1.0, 1.0, 1.0]] * 9
+# A matrix whose dim is 0 or not finite (Python's JSON reader takes
+# Infinity), in each input file that holds matrices.
+_BAD_DIMS = [
+    (command, data(matrix), f"{command}-dim-{label}")
+    for label, matrix in (
+        ("zero", {"dim": 0, "entries": []}),
+        ("inf", {"dim": math.inf, "entries": [[1.0, 0.0]]}),
+        ("minus-inf", {"dim": -math.inf, "entries": [[1.0, 0.0]]}),
+    )
+    for command, data in (
+        ("jm-check", lambda m: {"effects": [[m, m]] * 2}),
+        ("steer-check", lambda m: {"assemblage": [[m, m]]}),
+        ("witness-opt", lambda m: {"effects": [[m, m]] * 2}),
+    )
+]
 
 
 @pytest.mark.parametrize(
@@ -171,7 +187,8 @@ _NINE_SETTINGS = [[0.0, 0.0, 1.0, 1.0, 1.0]] * 9
         ("steer-check", {"visibility": 0.5, "alice": {"bloch": _NINE_SETTINGS}}),
         ("witness-opt", {"effects": [_QUTRIT_SPLIT] * 2}),
         ("witness-opt", {"effects": [[_THIRD_IDENTITY] * 3] * 2}),
-    ],
+    ]
+    + [(command, data) for command, data, _ in _BAD_DIMS],
     ids=[
         "no-settings",
         "no-outcomes",
@@ -202,7 +219,8 @@ _NINE_SETTINGS = [[0.0, 0.0, 1.0, 1.0, 1.0]] * 9
         "steer-nine-settings",
         "witness-qutrit",
         "witness-three-outcomes",
-    ],
+    ]
+    + [name for _, _, name in _BAD_DIMS],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, command, data):
     # {tmp} in a command is tmp_path, which holds the input file bad.json

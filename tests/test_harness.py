@@ -214,6 +214,19 @@ def test_conjecture1_error_stays_with_its_sample(monkeypatch, fault, error):
         assert solved["jm"] == [post - (fault == "probe")]
 
 
+def test_conjecture1_wall_time_is_a_share_of_its_chunk():
+    """Every record of a chunk gets an equal share of the ensemble stage,
+    and a post-selected record an equal share of the JM stage on top."""
+    chunk = harness.conj1_chunk(3)
+    cfg = ExperimentConfig(experiment="conjecture1", n=3, samples=chunk + 2, seed=4)
+    _, records = run_conjecture1(cfg)
+    first = records[:chunk]
+    plain = {rec.wall_time for rec in first if not rec.post_selected}
+    post = {rec.wall_time for rec in first if rec.post_selected}
+    assert len(plain) == 1 and len(post) == 1
+    assert post.pop() > plain.pop() > 0.0
+
+
 def test_conjecture1_jm_margin_and_its_distribution(tmp_path):
     """Below the cap, jm_margin is v* / v - 1 with v* = crit_at_probe *
     probe; the paper's equality v* = v holds to within the verdict margin.
@@ -357,7 +370,6 @@ def test_vn_table_entry_and_outputs(tmp_path):
     assert len(records) == 1
     est = summary.estimates[0]
     assert abs(est["estimate"] - 1.0 / SQRT2) < 5e-3
-    assert est["bracket_lo"] <= est["estimate"] <= est["bracket_hi"] + 1e-15
 
     with open(out + ".jsonl") as fh:
         lines = [json.loads(line) for line in fh]
@@ -369,6 +381,10 @@ def test_vn_table_entry_and_outputs(tmp_path):
         rows = list(csv.DictReader(fh))
     assert rows[0]["n"] == "2"
     assert float(rows[0]["estimate"]) == pytest.approx(est["estimate"])
+    # The see-saw threshold is an exact crossing: no bracket anywhere.
+    assert rows[0]["bracket_lo"] == rows[0]["bracket_hi"] == ""
+    assert not any(key.startswith("bracket") for key in lines[0])
+    assert not any(key.startswith("bracket") for key in est)
 
 
 def test_nc_bound_run():
@@ -458,3 +474,90 @@ def test_run_experiment_dispatch():
     cfg = ExperimentConfig(experiment="nc_bound", n=(2,))
     summary, _ = run_experiment(cfg)
     assert summary.experiment == "nc_bound"
+
+
+_ZX_BLOCH = [[0.0, 0.0, 1.0, 1.0, 1.0], [1.0, 0.0, 0.0, 1.0, 1.0]]
+_SAMPLE_KEYS = {
+    "sample_index", "seed", "n", "post_selected", "wall_time", "bloch",
+    "witness_value", "witness_dual", "solver_status", "solver_gap", "baseline",
+}
+_POST_SELECTED_KEYS = _SAMPLE_KEYS | {
+    "threshold_v", "probe_v", "verdict_at_threshold", "verdict_at_probe",
+    "jm_crit_at_threshold", "jm_crit_at_probe", "jm_gap_at_threshold",
+    "jm_gap_at_probe",
+}
+_ONE_RECORD_ESTIMATE = {"n", "estimate", "bracket_lo", "bracket_hi"}
+
+
+def test_record_and_estimate_keys_are_pinned(tmp_path, monkeypatch):
+    """The key set of every experiment's records and summary estimates. A
+    format change has to edit this test, and CHANGES.md lists it."""
+    bad_seed = sample_seed(4, 0)
+
+    def draw(rng, n):
+        if rng.bit_generator.seed_seq.entropy == bad_seed:
+            raise RuntimeError("draw failed")
+        return sample_random_povm_set(rng, n)
+
+    monkeypatch.setattr(harness, "sample_random_povm_set", draw)
+    summary, records = run_conjecture1(
+        ExperimentConfig(experiment="conjecture1", n=3, samples=16, seed=4)
+    )
+    assert summary.estimates == []
+    shapes = {"error": 0, "plain": 0, "post": 0}
+    for rec in (r.to_json() for r in records):
+        if "error" in rec:
+            shapes["error"] += 1
+            assert set(rec) == {
+                "sample_index", "seed", "n", "post_selected", "wall_time", "error"
+            }
+        elif rec["post_selected"]:
+            shapes["post"] += 1
+            margin = {"jm_margin"} if rec["jm_crit_at_probe"] < 1.0 else set()
+            assert set(rec) == _POST_SELECTED_KEYS | margin
+        else:
+            shapes["plain"] += 1
+            assert set(rec) == _SAMPLE_KEYS
+    assert all(shapes.values())
+
+    summary, records = run_vn_table(
+        ExperimentConfig(experiment="vn_table", n=(2,), restarts=3, seed=1)
+    )
+    assert [set(rec) for rec in records] == [
+        {"n", "seed", "estimate", "value_at_threshold", "restarts_used", "wall_time"}
+    ]
+    assert [set(est) for est in summary.estimates] == [{"n", "estimate"}]
+
+    summary, records = run_nc_bound(ExperimentConfig(experiment="nc_bound", n=(2,)))
+    assert [set(rec) for rec in records] == [
+        {"n", "lp_value", "closed_form", "difference", "wall_time"}
+    ]
+    assert [set(est) for est in summary.estimates] == [_ONE_RECORD_ESTIMATE]
+
+    path = tmp_path / "zx.json"
+    path.write_text(json.dumps({"bloch": _ZX_BLOCH}))
+    steer = tmp_path / "steer.json"
+    steer.write_text(json.dumps({"visibility": 0.8, "alice": {"bloch": _ZX_BLOCH}}))
+    report_keys = {"kind", "critical_visibility", "verdict", "status", "solver_gap"}
+    for run, cfg in (
+        (run_jm_check, ExperimentConfig(experiment="jm_check", input_path=str(path))),
+        (
+            run_steer_check,
+            ExperimentConfig(experiment="steer_check", input_path=str(steer)),
+        ),
+    ):
+        summary, (record,) = run(cfg)
+        assert set(record) == {"input", "settings", "report", "wall_time"}
+        assert set(record["report"]) == report_keys
+        assert [set(est) for est in summary.estimates] == [_ONE_RECORD_ESTIMATE]
+        (est,) = summary.estimates
+        # crit -+ gap.
+        assert est["bracket_lo"] <= est["estimate"] <= est["bracket_hi"]
+
+    cfg = ExperimentConfig(experiment="witness_opt", input_path=str(path))
+    summary, (record,) = run_witness_opt(cfg)
+    assert set(record) == {
+        "input", "n", "witness_value", "witness_dual", "solver_status",
+        "solver_gap", "classical_bound", "wall_time", "threshold_v",
+    }
+    assert [set(est) for est in summary.estimates] == [_ONE_RECORD_ESTIMATE]

@@ -353,7 +353,6 @@ def test_seesaw_threshold_is_pinned(n, seed):
     res = seesaw_critical_visibility(n, rng=np.random.default_rng(seed))
     v_threshold = _PINNED_THRESHOLDS[n, seed]
     assert res.v_threshold == v_threshold
-    assert res.bracket == (v_threshold, v_threshold)
     assert res.restarts_used == 22
     assert abs(v_threshold - 1.0 / np.sqrt(n)) <= 1e-9
 
