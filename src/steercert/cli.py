@@ -9,7 +9,7 @@ import argparse
 import json
 import sys
 
-from .harness import ConfigError, ExperimentConfig, run_experiment
+from .harness import ONE_SHOT_EXPERIMENTS, ConfigError, ExperimentConfig, run_experiment
 
 # Subcommand name: (experiment, help).
 _SUBCOMMANDS = {
@@ -20,7 +20,6 @@ _SUBCOMMANDS = {
     "steer-check": ("steer_check", "certify a hidden-state model for an assemblage file"),
     "witness-opt": ("witness_opt", "optimize the ensemble for a measurement file"),
 }
-_CHECK_MODE = {"jm_check", "steer_check", "witness_opt"}
 
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
@@ -57,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
     for name, (experiment, help_text) in _SUBCOMMANDS.items():
         sub = subparsers.add_parser(name, help=help_text)
-        if experiment in _CHECK_MODE:
+        if experiment in ONE_SHOT_EXPERIMENTS:
             sub.add_argument("input_path", metavar="input", help="JSON input file")
         if experiment == "vn_table":
             sub.add_argument(
@@ -122,7 +121,8 @@ def main(argv=None) -> int:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
     _print_summary(summary)
-    if config.experiment in _CHECK_MODE and summary.counts.get("inconclusive"):
+    # Only the one-shot experiments count inconclusive answers.
+    if summary.counts.get("inconclusive"):
         return 3
     if not summary.ok:
         return 4

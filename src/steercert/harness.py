@@ -64,6 +64,8 @@ PROBE_STEP = 1e-3
 TRIVIAL_BASELINE = 0.5
 # The files a run with an output prefix writes, by suffix.
 _OUT_SUFFIXES = (".jsonl", ".summary.json", ".summary.csv")
+# The experiments that answer about one input file, which sets their n.
+ONE_SHOT_EXPERIMENTS = ("jm_check", "steer_check", "witness_opt")
 
 
 class ConfigError(ValueError):
@@ -152,7 +154,7 @@ class ExperimentConfig:
         if not isinstance(self.full, bool):
             raise ConfigError(f"full must be true or false, got {self.full!r}")
         self.n = self._normalize_n()
-        if self.experiment in ("jm_check", "steer_check", "witness_opt"):
+        if self.experiment in ONE_SHOT_EXPERIMENTS:
             if not self.input_path:
                 raise ConfigError(f"{self.experiment} needs an input file")
         if self.out:
@@ -185,7 +187,7 @@ class ExperimentConfig:
                         " and supports only 2 <= n <= 4"
                     )
             return ns
-        if self.experiment in ("conjecture1", "witness_opt"):
+        if self.experiment == "conjecture1":
             k = 3 if self.n is None else _converted(int, "n", self.n)
             if not 2 <= k <= 7:
                 raise ConfigError("supported range is 2 <= n <= 7")
@@ -652,45 +654,48 @@ def load_assemblage(path: str) -> Assemblage:
     raise ConfigError('assemblage JSON needs an "assemblage" or "alice" key')
 
 
-def _one_record(config, start, record, n, estimate, lo, hi, inconclusive, notes):
-    """The summary of a run that yields one record, with that record
-    written to the outputs."""
-    counts = {"inconclusive": int(inconclusive)}
-    estimates = [{"n": n, "estimate": estimate, "bracket_lo": lo, "bracket_hi": hi}]
-    ok = not inconclusive
-    return _finish(config, start, [record], counts, estimates, ok, notes), [record]
-
-
-def _run_check(config, what: str, load, check, certifier, settings):
-    """Load an input file, validate it for ``certifier`` inside the
-    ConfigError wrapping, certify it and report the one record;
-    settings(target) gives the input's setting count."""
+def _run_check(config, what: str, load, check, answer):
+    """The summary and one record of a one-shot experiment. The input file
+    is loaded and checked inside the ConfigError wrapping, so input that
+    ``check`` refuses exits 2; answer(target, gap_tol, feas_tol) gives the
+    record's fields, the estimate, whether the answer is inconclusive and
+    the notes."""
     start = time.perf_counter()
     try:
         target = load(config.input_path)
         check(target)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"cannot load {what}: {exc}") from exc
-    report = certifier(target, config.gap_tol, config.feas_tol)
-    n = settings(target)
+    fields, estimate, inconclusive, notes = answer(
+        target, config.gap_tol, config.feas_tol
+    )
     record = {
         "input": config.input_path,
-        "settings": n,
-        "report": report.to_json(),
+        **fields,
         "wall_time": time.perf_counter() - start,
     }
+    counts = {"inconclusive": int(inconclusive)}
+    ok = not inconclusive
+    return _finish(config, start, [record], counts, [estimate], ok, notes), [record]
+
+
+def _certified(report, n: int):
+    """The answer of a certificate check with report ``report`` on an input
+    of n settings: its critical visibility, bracketed by the solver gap."""
     crit, gap = report.critical_visibility, report.solver_gap
-    return _one_record(
-        config, start, record, n, crit, crit - gap, crit + gap,
-        report.verdict == "Inconclusive", [f"verdict: {report.verdict}"],
-    )
+    estimate = {
+        "n": n, "estimate": crit, "bracket_lo": crit - gap, "bracket_hi": crit + gap
+    }
+    fields = {"settings": n, "report": report.to_json()}
+    inconclusive = report.verdict == "Inconclusive"
+    return fields, estimate, inconclusive, [f"verdict: {report.verdict}"]
 
 
 def run_jm_check(config: ExperimentConfig):
     """Certify joint measurability of a measurement set read from a file."""
     return _run_check(
         config, "measurement set", load_measurement_set, check_jm_input,
-        jm_critical_visibility, lambda mset: mset.n,
+        lambda mset, *tols: _certified(jm_critical_visibility(mset, *tols), mset.n),
     )
 
 
@@ -698,41 +703,45 @@ def run_steer_check(config: ExperimentConfig):
     """Certify a local hidden-state model for an assemblage from a file."""
     return _run_check(
         config, "assemblage", load_assemblage, check_lhs_input,
-        lhs_critical_visibility, lambda assemblage: assemblage.n_settings,
+        lambda assemblage, *tols: _certified(
+            lhs_critical_visibility(assemblage, *tols), assemblage.n_settings
+        ),
     )
 
 
-def run_witness_opt(config: ExperimentConfig):
-    """Optimize the preparation ensemble for measurements from a file and
-    report the witness value with its visibility threshold."""
-    start = time.perf_counter()
-    try:
-        mset = load_measurement_set(config.input_path)
-        check_binary_qubit(mset)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"cannot load measurement set: {exc}") from exc
+def _check_witness_input(mset: MeasurementSet) -> None:
+    """Raise ValueError unless witness-opt supports ``mset``."""
+    check_binary_qubit(mset)
     if not 2 <= mset.n <= 7:
-        raise ConfigError("supported range is 2 <= n <= 7 settings")
-    scenario = Scenario(mset.n)
-    res = optimize_ensemble(
-        scenario, mset, gap_tol=config.gap_tol, feas_tol=config.feas_tol
-    )
-    record = {
-        "input": config.input_path,
+        raise ValueError("supported range is 2 <= n <= 7 settings")
+
+
+def _optimized(mset: MeasurementSet, gap_tol: float, feas_tol: float):
+    """The answer of witness-opt: the witness value, bracketed by the dual
+    value, and the visibility threshold of a post-selected result."""
+    res = optimize_ensemble(Scenario(mset.n), mset, gap_tol=gap_tol, feas_tol=feas_tol)
+    fields = {
         "n": mset.n,
         "witness_value": res.value,
         "witness_dual": res.dual_value,
         "solver_status": res.status,
         "solver_gap": res.gap,
         "classical_bound": noncontextual_bound(mset.n),
-        "wall_time": time.perf_counter() - start,
     }
     v = _threshold(res, mset.n)
     if v is not None:
-        record["threshold_v"] = v
-    return _one_record(
-        config, start, record, mset.n, res.value, res.value, res.dual_value,
-        res.status != STATUS_OPTIMAL, [],
+        fields["threshold_v"] = v
+    value, dual = res.value, res.dual_value
+    estimate = {"n": mset.n, "estimate": value, "bracket_lo": value, "bracket_hi": dual}
+    return fields, estimate, res.status != STATUS_OPTIMAL, []
+
+
+def run_witness_opt(config: ExperimentConfig):
+    """Optimize the preparation ensemble for measurements from a file and
+    report the witness value with its visibility threshold."""
+    return _run_check(
+        config, "measurement set", load_measurement_set, _check_witness_input,
+        _optimized,
     )
 
 
@@ -797,13 +806,11 @@ def _write_outputs(out: str | None, summary: RunSummary, records: list) -> None:
     with open(summary_json, "w", encoding="utf-8") as fh:
         json.dump(summary.to_json(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    count_keys = sorted(summary.counts)
-    fieldnames = ["n", "estimate", "bracket_lo", "bracket_hi"] + count_keys
-    rows = summary.estimates or [{}]
+    # The estimates' keys in first-seen order, then the sorted counts.
+    estimate_keys = dict.fromkeys(k for est in summary.estimates for k in est)
+    fieldnames = [*estimate_keys, *sorted(summary.counts)]
     with open(summary_csv, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
-        for row in rows:
-            flat = {k: row.get(k, "") for k in ("n", "estimate", "bracket_lo", "bracket_hi")}
-            flat.update({k: summary.counts[k] for k in count_keys})
-            writer.writerow(flat)
+        for row in summary.estimates or [{}]:
+            writer.writerow({**row, **summary.counts})

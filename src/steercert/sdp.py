@@ -77,8 +77,7 @@ cached read-only: the gather/scatter offsets and scale vectors behind hvec and
 unhvec, and the Hermitian basis. The cached plan is bit-exact: hvec gives the
 same bits as fancy indexing over np.triu_indices, and unhvec the same as that
 indexing with a complex division by sqrt(2), except for the sign of an exact
-zero and for entries that are not finite. Each Hermitian group of a
-PreparedSdp also fixes the contraction path of its scaling once.
+zero and for entries that are not finite.
 """
 
 from __future__ import annotations
@@ -237,10 +236,6 @@ class SdpSolution:
     block_values: list = field(default_factory=list)
     message: str = ""
 
-
-# Congruence of the Hermitian basis: block i of L times basis matrix k times
-# block i of R.
-_WBW = "ipq,kqr,irs->ikps"
 
 # Lorentz-cone constants: the signature J = diag(1, -1, -1, -1), and
 # M = sqrt(2) Q, which takes the hvec coordinates of a 2x2 block to the cone
@@ -422,12 +417,10 @@ class _HermitianScaling:
         with np.errstate(invalid="ignore", divide="ignore"):
             s_isqrt = 1.0 / np.sqrt(s)
             r = (lx @ vh.conj().transpose(0, 2, 1)) * s_isqrt[:, None, :]
-            # W maps U to R^H U R; row k of wt is hvec(R^H B_k R) for basis
-            # matrix B_k, the transpose of W's matrix in the hvec basis.
+            # Row k of wt is hvec(R^H B_k R) for basis matrix B_k: W's matrix
+            # transposed. Each entry is its own product, whatever the batch.
             r_h = r.conj().transpose(0, 2, 1)
-            self.wt = hvec(
-                np.einsum(_WBW, r_h, group.basis, r, optimize=group.wbw_path)
-            )
+            self.wt = hvec(r_h[:, None] @ hermitian_basis(d) @ r[:, None])
         self.lam = np.zeros_like(x)
         self.lam[:, :d] = s
         self._dim = d
@@ -568,19 +561,13 @@ class _LorentzGroup(_Group):
 
 
 class _HermitianGroup(_Group):
-    """d x d Hermitian blocks, d >= 3, in hvec coordinates. The Hermitian
-    basis and the contraction path of the scaling's congruence depend only
-    on the group's shape, so they are fixed here once rather than on every
-    IPM iteration."""
+    """d x d Hermitian blocks, d >= 3, in hvec coordinates."""
 
-    __slots__ = ("basis", "wbw_path", "x0", "z0")
+    __slots__ = ("x0", "z0")
 
     def __init__(self, dim: int, blocks: list[int], col_start: int) -> None:
         super().__init__(dim, blocks, col_start)
         self.x0 = self.z0 = hvec(np.eye(dim))
-        self.basis = hermitian_basis(dim)
-        w_like = np.empty((len(blocks), dim, dim), dtype=np.complex128)
-        self.wbw_path = np.einsum_path(_WBW, w_like, self.basis, w_like, optimize=True)[0]
 
     def nt(self, x: np.ndarray, z: np.ndarray) -> _HermitianScaling:
         return _HermitianScaling(self, x, z)

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .linalg import HermitianOperator
 from .quantum import (
@@ -164,6 +163,8 @@ def noncontextual_bound_oracle(n: int) -> float:
         raise ValueError("the game needs at least two settings")
     if n > 4:
         raise ValueError("oracle is exponential in n; refusing n > 4")
+    from scipy.optimize import linprog  # the package's largest import; only here
+
     scenario = Scenario(n)
     preps = scenario.preparations
     lams = list(itertools.product((0, 1), repeat=n))

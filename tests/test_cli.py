@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -187,6 +189,7 @@ _BAD_DIMS = [
         ("steer-check", {"visibility": 0.5, "alice": {"bloch": _NINE_SETTINGS}}),
         ("witness-opt", {"effects": [_QUTRIT_SPLIT] * 2}),
         ("witness-opt", {"effects": [[_THIRD_IDENTITY] * 3] * 2}),
+        ("witness-opt", {"bloch": _NINE_SETTINGS[:8]}),
     ]
     + [(command, data) for command, data, _ in _BAD_DIMS],
     ids=[
@@ -219,6 +222,7 @@ _BAD_DIMS = [
         "steer-nine-settings",
         "witness-qutrit",
         "witness-three-outcomes",
+        "witness-eight-settings",
     ]
     + [name for _, _, name in _BAD_DIMS],
 )
@@ -241,3 +245,13 @@ def test_malformed_input_exits_2(tmp_path, capsys, command, data):
     assert err.startswith("error:") or (
         err.startswith("usage:") and "error: unrecognized arguments" in err
     )
+
+
+def test_cli_loads_without_the_lp_solver():
+    """Only the classical-bound LP oracle needs scipy.optimize, so importing
+    the command line front end does not load it."""
+    code = "import sys, steercert.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"

@@ -382,7 +382,7 @@ def test_vn_table_entry_and_outputs(tmp_path):
     assert rows[0]["n"] == "2"
     assert float(rows[0]["estimate"]) == pytest.approx(est["estimate"])
     # The see-saw threshold is an exact crossing: no bracket anywhere.
-    assert rows[0]["bracket_lo"] == rows[0]["bracket_hi"] == ""
+    assert not any(key.startswith("bracket") for key in rows[0])
     assert not any(key.startswith("bracket") for key in lines[0])
     assert not any(key.startswith("bracket") for key in est)
 
@@ -462,12 +462,15 @@ def test_witness_opt_run(tmp_path):
             {"bloch": [[0.0, 0.0, 1.0, 1.0, 1.0], [1.0, 0.0, 0.0, 1.0, 1.0]]}
         )
     )
-    cfg = ExperimentConfig(experiment="witness_opt", input_path=str(path))
+    # The input file sets n; a config value is not read.
+    cfg = ExperimentConfig(experiment="witness_opt", n=9, input_path=str(path))
     summary, records = run_witness_opt(cfg)
     rec = records[0]
     assert abs(rec["witness_value"] - (2.0 + SQRT2) / 4.0) < 1e-6
     assert abs(rec["threshold_v"] - 1.0 / SQRT2) < 1e-6
     assert summary.ok
+    assert summary.config["n"] is None
+    assert summary.estimates[0]["n"] == rec["n"] == 2
 
 
 def test_run_experiment_dispatch():
@@ -486,12 +489,22 @@ _POST_SELECTED_KEYS = _SAMPLE_KEYS | {
     "jm_crit_at_threshold", "jm_crit_at_probe", "jm_gap_at_threshold",
     "jm_gap_at_probe",
 }
-_ONE_RECORD_ESTIMATE = {"n", "estimate", "bracket_lo", "bracket_hi"}
+_BRACKETED = ["n", "estimate", "bracket_lo", "bracket_hi"]
+
+
+def _csv_header_follows_estimates(summary):
+    """The summary CSV's header is the estimates' keys in first-seen order,
+    then the sorted counts."""
+    with open(summary.config["out"] + ".summary.csv", newline="") as fh:
+        header = next(csv.reader(fh))
+    keys = dict.fromkeys(k for est in summary.estimates for k in est)
+    assert header == [*keys, *sorted(summary.counts)]
 
 
 def test_record_and_estimate_keys_are_pinned(tmp_path, monkeypatch):
-    """The key set of every experiment's records and summary estimates. A
-    format change has to edit this test, and CHANGES.md lists it."""
+    """The key set of every experiment's records, the keys of its summary
+    estimates in order, and the header of its summary CSV. A format change
+    has to edit this test, and CHANGES.md lists it."""
     bad_seed = sample_seed(4, 0)
 
     def draw(rng, n):
@@ -501,9 +514,12 @@ def test_record_and_estimate_keys_are_pinned(tmp_path, monkeypatch):
 
     monkeypatch.setattr(harness, "sample_random_povm_set", draw)
     summary, records = run_conjecture1(
-        ExperimentConfig(experiment="conjecture1", n=3, samples=16, seed=4)
+        ExperimentConfig(
+            experiment="conjecture1", n=3, samples=16, seed=4, out=str(tmp_path / "c")
+        )
     )
     assert summary.estimates == []
+    _csv_header_follows_estimates(summary)
     shapes = {"error": 0, "plain": 0, "post": 0}
     for rec in (r.to_json() for r in records):
         if "error" in rec:
@@ -521,43 +537,52 @@ def test_record_and_estimate_keys_are_pinned(tmp_path, monkeypatch):
     assert all(shapes.values())
 
     summary, records = run_vn_table(
-        ExperimentConfig(experiment="vn_table", n=(2,), restarts=3, seed=1)
+        ExperimentConfig(
+            experiment="vn_table", n=(2,), restarts=3, seed=1, out=str(tmp_path / "v")
+        )
     )
     assert [set(rec) for rec in records] == [
         {"n", "seed", "estimate", "value_at_threshold", "restarts_used", "wall_time"}
     ]
-    assert [set(est) for est in summary.estimates] == [{"n", "estimate"}]
+    assert [list(est) for est in summary.estimates] == [["n", "estimate"]]
+    _csv_header_follows_estimates(summary)
 
-    summary, records = run_nc_bound(ExperimentConfig(experiment="nc_bound", n=(2,)))
+    summary, records = run_nc_bound(
+        ExperimentConfig(experiment="nc_bound", n=(2,), out=str(tmp_path / "nc"))
+    )
     assert [set(rec) for rec in records] == [
         {"n", "lp_value", "closed_form", "difference", "wall_time"}
     ]
-    assert [set(est) for est in summary.estimates] == [_ONE_RECORD_ESTIMATE]
+    assert [list(est) for est in summary.estimates] == [_BRACKETED]
+    _csv_header_follows_estimates(summary)
 
     path = tmp_path / "zx.json"
     path.write_text(json.dumps({"bloch": _ZX_BLOCH}))
     steer = tmp_path / "steer.json"
     steer.write_text(json.dumps({"visibility": 0.8, "alice": {"bloch": _ZX_BLOCH}}))
     report_keys = {"kind", "critical_visibility", "verdict", "status", "solver_gap"}
-    for run, cfg in (
-        (run_jm_check, ExperimentConfig(experiment="jm_check", input_path=str(path))),
-        (
-            run_steer_check,
-            ExperimentConfig(experiment="steer_check", input_path=str(steer)),
-        ),
+    for run, experiment, input_path in (
+        (run_jm_check, "jm_check", path),
+        (run_steer_check, "steer_check", steer),
     ):
+        out = str(tmp_path / experiment)
+        cfg = ExperimentConfig(experiment=experiment, input_path=str(input_path), out=out)
         summary, (record,) = run(cfg)
         assert set(record) == {"input", "settings", "report", "wall_time"}
         assert set(record["report"]) == report_keys
-        assert [set(est) for est in summary.estimates] == [_ONE_RECORD_ESTIMATE]
+        assert [list(est) for est in summary.estimates] == [_BRACKETED]
+        _csv_header_follows_estimates(summary)
         (est,) = summary.estimates
         # crit -+ gap.
         assert est["bracket_lo"] <= est["estimate"] <= est["bracket_hi"]
 
-    cfg = ExperimentConfig(experiment="witness_opt", input_path=str(path))
+    cfg = ExperimentConfig(
+        experiment="witness_opt", input_path=str(path), out=str(tmp_path / "w")
+    )
     summary, (record,) = run_witness_opt(cfg)
     assert set(record) == {
         "input", "n", "witness_value", "witness_dual", "solver_status",
         "solver_gap", "classical_bound", "wall_time", "threshold_v",
     }
-    assert [set(est) for est in summary.estimates] == [_ONE_RECORD_ESTIMATE]
+    assert [list(est) for est in summary.estimates] == [_BRACKETED]
+    _csv_header_follows_estimates(summary)

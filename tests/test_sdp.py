@@ -368,10 +368,8 @@ def test_stored_schur_path_is_per_program():
     assert first[0] > 1
     assert _solution_bytes(prep.solve_with(objective)) == first
     # A program of another block count in between must not disturb the
-    # path stored for the first one; 3 and 9 blocks contract in different
-    # orders.
+    # solve of the first one.
     other, other_objective = _povm_program(9)
-    assert other.groups[0].wbw_path != prep.groups[0].wbw_path
     other_first = _solution_bytes(other.solve_with(other_objective))
     assert _solution_bytes(prep.solve_with(objective)) == first
     assert _solution_bytes(other.solve_with(other_objective)) == other_first
@@ -379,19 +377,6 @@ def test_stored_schur_path_is_per_program():
 
 def _without_rows(dims):
     return PreparedSdp(dims, *operator_rows(dims, []))
-
-
-@pytest.mark.parametrize("dims", [(3,), (3, 3, 3), (1, 1, 3, 3), (3,) * 9])
-def test_stored_schur_path_matches_fresh_planning(dims):
-    prep = _without_rows(dims)
-    rng = np.random.default_rng(len(dims))
-    hermitian = [g for g in prep.groups if g.dim >= 3]
-    assert len(hermitian) == 1
-    for g in hermitian:
-        w = np.stack([random_hermitian(rng, g.dim) for _ in g.blocks])
-        stored = np.einsum(sdp._WBW, w, g.basis, w, optimize=g.wbw_path)
-        planned = np.einsum(sdp._WBW, w, g.basis, w, optimize=True)
-        assert stored.tobytes() == planned.tobytes()
 
 
 # -- cone kernels -------------------------------------------------------------
