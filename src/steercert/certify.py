@@ -3,8 +3,10 @@ hidden-state models, plus a closed form for unbiased qubit pairs.
 
 Both certificates solve one parent-search program, which maximizes the
 visibility v at which the depolarized target (measurement set or
-assemblage) still admits the classical parent structure, capped at 1. A
-verdict is only issued when the solver converged; the compatibility side
+assemblage) still admits the classical parent structure, capped at 1. v and
+its slack s are the diagonal of one 2x2 block V, and the cap is tr V = 1, so
+the program's blocks are all 2x2 and form one Lorentz-cone group. A verdict
+is only issued when the solver converged; the compatibility side
 additionally requires the optimum to clear 1 by the verdict margin.
 
 Depolarizing composes, depolarize(depolarize(S, p), w) = depolarize(S, p w),
@@ -24,7 +26,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .quantum import Assemblage, MeasurementSet, bloch_from_povm, check_binary_qubit
-from .sdp import STATUS_OPTIMAL, PreparedSdp, ProgramBuilder
+from .sdp import STATUS_OPTIMAL, PreparedSdp, ProgramBuilder, hermitian_hvec
 from .tolerances import (
     DEFAULT_FEAS_TOL,
     DEFAULT_GAP_TOL,
@@ -133,36 +135,43 @@ def _parent_search(
     at 1: one report per entry.
 
     Row group 0 fixes the sum over all lam and row group x + 1 the sum over
-    lam_x = 0: sum G_lam - v (T_x - N_x) = N_x. A slack s with v + s = 1
-    caps v. The verdict is the kind's yes when the target itself (v = 1)
-    admits the parent structure within the verdict margin, its no when it
-    does not; a solve that did not converge is Inconclusive.
+    lam_x = 0: sum G_lam - v (T_x - N_x) = N_x. v and a slack s are the
+    diagonal of one more 2x2 block V = [[v, w], [conj(w), s]], and the cap
+    is tr V = 1. w enters no row and no objective, so the optimum is that of
+    v + s = 1 over two scalars, and by the symmetry w -> -w the central path
+    keeps w = 0; every block of the program is a Lorentz cone of one group.
+    The verdict is the kind's yes when the target itself (v = 1) admits the
+    parent structure within the verdict margin, its no when it does not; a
+    solve that did not converge is Inconclusive.
 
-    The programs differ only in v's column, so they form one stack
-    (PreparedSdp over (k, m, n) rows) and several are solved in one
-    batched IPM run, each bit for bit as it would be alone. One program
-    makes one solve_with call, a batch of one with the same bits, which is
-    the entry point the benchmark's per-layer solver span counts.
+    The programs differ only in v's column, so one ProgramBuilder writes the
+    rows they share and each target's copy gets its own v column,
+    -hvec(T_x - N_x). They form one stack (PreparedSdp over (k, m, n) rows)
+    and several are solved in one batched IPM run, each bit for bit as it
+    would be alone. One program makes one solve_with call, a batch of one
+    with the same bits, which is the entry point the benchmark's per-layer
+    solver span counts.
     """
     lams = list(itertools.product((0, 1), repeat=len(noises) - 1))
     n_l = len(lams)
-    v_ix, s_ix = n_l, n_l + 1
-    dims = [2] * n_l + [1, 1]
-    stack = []
-    for target in targets:
-        builder = ProgramBuilder(dims)
-        for x, (t_x, noise) in enumerate(zip(target, noises)):
-            terms: dict = {
-                li: 1.0 for li, lam in enumerate(lams) if x == 0 or lam[x - 1] == 0
-            }
-            terms[v_ix] = -(t_x - noise)
-            builder.add_operator_equation(terms, noise)
-        builder.add_operator_equation({v_ix: 1.0, s_ix: 1.0}, 1.0)
-        stack.append(builder.constraint_matrix())
-    prepared = PreparedSdp(dims, np.array([a for a, _ in stack]), stack[0][1])
+    # hvec(V) lists V_00 = v and V_11 = s first, so the rows over G_lam and
+    # two scalar blocks v, s are V's rows with its two w columns zero.
+    v_col = 4 * n_l
+    builder = ProgramBuilder([2] * n_l + [1, 1])
+    for x, noise in enumerate(noises):
+        builder.add_operator_equation(
+            {li: 1.0 for li, lam in enumerate(lams) if x == 0 or lam[x - 1] == 0}, noise
+        )
+    builder.add_operator_equation({n_l: 1.0, n_l + 1: 1.0}, 1.0)
+    rows, rhs = builder.constraint_matrix()
+    stack = np.zeros((len(targets), len(rhs), v_col + 4))
+    stack[:, :, : v_col + 2] = rows
+    shifts = hermitian_hvec(np.asarray(targets) - np.asarray(noises))
+    stack[:, :-1, v_col] = -shifts.reshape(len(targets), -1)
+    prepared = PreparedSdp([2] * (n_l + 1), stack, rhs)
     # Maximize v: the objective in hvec coordinates, 4 per 2x2 block.
-    objective = np.zeros(4 * n_l + 2)
-    objective[4 * n_l] = 1.0
+    objective = np.zeros(v_col + 4)
+    objective[v_col] = 1.0
     if len(stack) == 1:
         sols = [prepared.solve_with(objective, gap_tol=gap_tol, feas_tol=feas_tol)]
     else:

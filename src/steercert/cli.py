@@ -21,17 +21,29 @@ _SUBCOMMANDS = {
     "witness-opt": ("witness_opt", "optimize the ensemble for a measurement file"),
 }
 
-
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--n", help="setting count (comma list for vn-table)")
-    sub.add_argument("--samples", type=int, help="number of samples to draw")
-    sub.add_argument("--seed", type=int, help="master seed")
-    sub.add_argument("--restarts", type=int, help="see-saw restarts per probe")
-    sub.add_argument("--threads", type=int, help="worker processes")
-    sub.add_argument("--gap-tol", type=float, dest="gap_tol")
-    sub.add_argument("--feas-tol", type=float, dest="feas_tol")
-    sub.add_argument("--out", help="output prefix for .jsonl and summaries")
-    sub.add_argument("--config", help="JSON file with config defaults")
+# Every flag a runner can read, by config field; the flag is --field with
+# dashes for underscores.
+_FLAGS = {
+    "n": dict(help="setting count (comma list for vn-table)"),
+    "samples": dict(type=int, help="number of samples to draw"),
+    "seed": dict(type=int, help="master seed"),
+    "restarts": dict(type=int, help="see-saw restarts per probe"),
+    "threads": dict(type=int, help="worker processes"),
+    "gap_tol": dict(type=float),
+    "feas_tol": dict(type=float),
+    "full": dict(
+        action="store_true", default=None, help="extend the default table to n = 6, 7"
+    ),
+}
+_TOLERANCES = ("gap_tol", "feas_tol")
+# The flags each experiment's runner reads; every subcommand also takes
+# --out and --config, and the one-shot checks their input file.
+_RUNNER_FLAGS = {
+    "conjecture1": ("n", "samples", "seed", "threads") + _TOLERANCES,
+    "vn_table": ("n", "full", "seed", "restarts", "threads") + _TOLERANCES,
+    "nc_bound": ("n", "threads"),
+    **{experiment: _TOLERANCES for experiment in ONE_SHOT_EXPERIMENTS},
+}
 
 
 def _parse_n(raw: str | None, experiment: str):
@@ -58,14 +70,10 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subparsers.add_parser(name, help=help_text)
         if experiment in ONE_SHOT_EXPERIMENTS:
             sub.add_argument("input_path", metavar="input", help="JSON input file")
-        if experiment == "vn_table":
-            sub.add_argument(
-                "--full",
-                action="store_true",
-                default=None,
-                help="extend the default table to n = 6, 7",
-            )
-        _add_common_flags(sub)
+        for field in _RUNNER_FLAGS[experiment]:
+            sub.add_argument("--" + field.replace("_", "-"), dest=field, **_FLAGS[field])
+        sub.add_argument("--out", help="output prefix for .jsonl and summaries")
+        sub.add_argument("--config", help="JSON file with config defaults")
     return parser
 
 
@@ -84,7 +92,7 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     if isinstance(data.get("n"), list):
         data["n"] = tuple(data["n"])
     # Every flag that names a config field overrides the file's value.
-    overrides = dict(vars(args), n=_parse_n(args.n, experiment))
+    overrides = dict(vars(args), n=_parse_n(getattr(args, "n", None), experiment))
     for key, value in overrides.items():
         if key in ExperimentConfig.__dataclass_fields__ and value is not None:
             data[key] = value

@@ -27,6 +27,8 @@ triangle. Blocks of equal dimension form a group, and all per-iteration work
 is batched over a group. The block dimension picks the group's cone:
 
 - d = 1: the nonnegative orthant, with entrywise scaling and step length.
+  Production programs have no 1x1 block; this path serves SdpProblem and
+  the random test programs.
 - d = 2: the 4-dimensional Lorentz cone. X = (t I + r.sigma) / 2 is positive
   semidefinite exactly when t >= |r|. A primal block has cone coordinates
   x = Q hvec(X) / sqrt(2) and a dual block z = sqrt(2) Q hvec(Z), where Q
@@ -769,7 +771,10 @@ class PreparedSdp:
     def _concat(self, per_block) -> np.ndarray:
         """One flat vector holding per_block(g) for every block of every group."""
         return np.concatenate(
-            [np.tile(per_block(g), len(g.blocks)) for g in self.groups]
+            [
+                np.broadcast_to(per_block(g), (len(g.blocks), g.dim * g.dim)).ravel()
+                for g in self.groups
+            ]
         )
 
     def _cone_objectives(self, objectives: np.ndarray) -> np.ndarray:

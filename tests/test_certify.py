@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from steercert import certify
 from steercert.certify import (
     CertificationReport,
     jm_critical_visibility,
@@ -19,6 +22,7 @@ from steercert.quantum import (
     sharp_povm,
     trivial_povm,
 )
+from steercert.sdp import PreparedSdp, ProgramBuilder
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 INV_SQRT3 = 1.0 / np.sqrt(3.0)
@@ -152,6 +156,94 @@ def test_batched_jm_input_checks():
     too_many = _sharp_set(*np.random.default_rng(1).normal(size=(9, 3)))
     with pytest.raises(ValueError, match="refusing n > 8"):
         jm_critical_visibility([pair, too_many])
+
+
+def _both_kinds(n, seed):
+    """One random set of n measurements and, from it, one assemblage of a
+    noisy singlet."""
+    _, mset = sample_random_povm_set(np.random.default_rng(seed), n)
+    return [
+        (jm_critical_visibility, mset),
+        (lhs_critical_visibility, assemblage_from(noisy_singlet(0.8), mset)),
+    ]
+
+
+def test_parent_search_programs_are_one_lorentz_group(monkeypatch):
+    """v and its slack s are the diagonal of one more 2x2 block, so the
+    JM and LHS programs hold 2^n + 1 blocks of dimension 2 and no 1x1
+    block."""
+    built = []
+
+    class Recording(PreparedSdp):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(certify, "PreparedSdp", Recording)
+    for n in (2, 3):
+        for certifier, target in _both_kinds(n, 4300 + n):
+            certifier(target)
+            prepared = built.pop()
+            assert set(prepared.dims) == {2}
+            assert [(g.dim, len(g.blocks)) for g in prepared.groups] == [(2, 2**n + 1)]
+
+
+def _two_scalar_reference(targets, noises, kind, gap_tol, feas_tol):
+    """The parent-search reports from the program that keeps v and s as
+    two 1x1 blocks beside the 2x2 parent blocks, one target at a time."""
+    lams = list(itertools.product((0, 1), repeat=len(noises) - 1))
+    v_ix, s_ix = len(lams), len(lams) + 1
+    dims = [2] * len(lams) + [1, 1]
+    objective = np.zeros(4 * len(lams) + 2)
+    objective[4 * len(lams)] = 1.0
+    reports = []
+    for target in targets:
+        builder = ProgramBuilder(dims)
+        for x, (t_x, noise) in enumerate(zip(target, noises)):
+            terms = {li: 1.0 for li, lam in enumerate(lams) if x == 0 or lam[x - 1] == 0}
+            terms[v_ix] = -(t_x - noise)
+            builder.add_operator_equation(terms, noise)
+        builder.add_operator_equation({v_ix: 1.0, s_ix: 1.0}, 1.0)
+        sol = builder.prepared().solve_with(objective, gap_tol, feas_tol)
+        reports.append(certify._report(kind, sol, gap_tol))
+    return reports
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_parent_search_matches_the_two_scalar_block_program(monkeypatch, n):
+    """Moving v and s into one 2x2 block leaves the optimum where it was:
+    both kinds' critical visibilities agree with the two-scalar-block
+    program to 1e-12, with the same verdicts and statuses."""
+    calls = []
+    search = certify._parent_search
+
+    def recording(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(certify, "_parent_search", recording)
+    for certifier, target in _both_kinds(n, 4400 + n):
+        rep = certifier(target)
+        (ref,) = _two_scalar_reference(*calls.pop())
+        assert abs(rep.critical_visibility - ref.critical_visibility) <= 1e-12
+        assert (rep.kind, rep.verdict, rep.status) == (ref.kind, ref.verdict, ref.status)
+
+
+def test_jm_batch_builds_its_rows_once(monkeypatch):
+    """The programs of a JM batch differ only in v's column, so the batch
+    writes its shared rows with one ProgramBuilder."""
+    built = []
+
+    class Counting(ProgramBuilder):
+        def __init__(self, dims):
+            super().__init__(dims)
+            built.append(self)
+
+    monkeypatch.setattr(certify, "ProgramBuilder", Counting)
+    rng = np.random.default_rng(4500)
+    sets = [sample_random_povm_set(rng, 3)[1] for _ in range(4)]
+    assert len(jm_critical_visibility(sets)) == 4
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("w", [0.0, -0.1, 1.5, float("nan")])

@@ -190,6 +190,10 @@ _BAD_DIMS = [
         ("witness-opt", {"effects": [_QUTRIT_SPLIT] * 2}),
         ("witness-opt", {"effects": [[_THIRD_IDENTITY] * 3] * 2}),
         ("witness-opt", {"bloch": _NINE_SETTINGS[:8]}),
+        # A flag that the subcommand's runner does not read.
+        ("jm-check --samples 5 --restarts 3", {"bloch": _ZX}),
+        ("conj1 --samples 0 --restarts 3", None),
+        ("nc-bound --n 2 --seed 3", None),
     ]
     + [(command, data) for command, data, _ in _BAD_DIMS],
     ids=[
@@ -223,6 +227,9 @@ _BAD_DIMS = [
         "witness-qutrit",
         "witness-three-outcomes",
         "witness-eight-settings",
+        "jm-check-unread-flags",
+        "conj1-unread-restarts",
+        "nc-bound-unread-seed",
     ]
     + [name for _, _, name in _BAD_DIMS],
 )
