@@ -9,6 +9,14 @@ the program's blocks are all 2x2 and form one Lorentz-cone group. A verdict
 is only issued when the solver converged; the compatibility side
 additionally requires the optimum to clear 1 by the verdict margin.
 
+Unbiased targets take a program of half the size. theta(X) = tr(X) I - X
+is a positive involution of qubit operators. For an unbiased measurement
+set, or its assemblage on a state whose reduced state is I/2, it maps a
+feasible parent G_lam to another, theta(G_not_lam), with the same v; their
+average is feasible with that v and has G_not_lam = theta(G_lam), so the
+optimum keeps its value on the 2^(n-1) blocks with lam_1 = 0 (the input
+alone picks the form, and a batch is split by form).
+
 Depolarizing composes, depolarize(depolarize(S, p), w) = depolarize(S, p w),
 for measurements (noise I/2) and assemblages (noise tr sigma I/2) alike. So
 for w in (0, 1] the capped critical visibility transports exactly,
@@ -30,6 +38,7 @@ from .sdp import STATUS_OPTIMAL, PreparedSdp, ProgramBuilder, hermitian_hvec
 from .tolerances import (
     DEFAULT_FEAS_TOL,
     DEFAULT_GAP_TOL,
+    STRUCTURAL_TOL,
     VERDICT_MARGIN_FACTOR,
 )
 
@@ -39,6 +48,10 @@ KIND_LOCAL_HIDDEN_STATE = "LocalHiddenState"
 MAX_SETTINGS = 8
 
 _HALF = 0.5 * np.eye(2, dtype=np.complex128)
+
+# theta(X) = tr(X) I - X in hvec coordinates (X_00, X_11, then X_01's two):
+# swap the diagonal, negate the rest.
+_THETA = np.array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1.0]])
 
 # Verdict pair (target admits the parent structure, it does not) per kind.
 _VERDICTS = {
@@ -126,13 +139,45 @@ def _report(kind: str, sol, gap_tol: float) -> CertificationReport:
     )
 
 
-def _parent_search(
-    targets, noises, kind: str, gap_tol: float, feas_tol: float
-) -> list:
+def _theta_symmetric(targets: np.ndarray, noises: np.ndarray) -> np.ndarray:
+    """Per target, whether T_0 = N_0 = c I and tr T_x = tr N_x = c for every
+    x >= 1, to STRUCTURAL_TOL."""
+    both = np.stack(np.broadcast_arrays(targets, noises), axis=1)
+    c = 0.5 * np.trace(noises[0]).real
+    scalar = np.abs(both[:, :, 0] - c * np.eye(2)).max(axis=(1, 2, 3))
+    traces = np.abs(np.trace(both[:, :, 1:], axis1=3, axis2=4) - c).max(axis=(1, 2))
+    return np.maximum(scalar, traces) <= STRUCTURAL_TOL
+
+
+def _parent_search(targets, noises, kind: str, gap_tol: float, feas_tol: float) -> list:
     """Per entry of ``targets``, a list of 2x2 targets T_x, the largest v at
     which PSD parent blocks G_lam, one per response string lam in {0,1}^n,
     reproduce v T_x + (1 - v) N_x for each noise N_x of ``noises``, capped
-    at 1: one report per entry.
+    at 1: one report per entry, in input order.
+
+    A theta-symmetric target (_theta_symmetric: an unbiased set, c = 1, or
+    its assemblage on a state with rho_B = I/2, c = 1/2) has an optimal
+    parent with G_not_lam = theta(G_lam). theta maps the sum over lam_x = 1
+    of a feasible G, c I - N_x - v (T_x - N_x), to N_x + v (T_x - N_x), so
+    lam -> theta(G_not_lam) is feasible with the same v, and so is its
+    average with G. These targets take _parent_stack's half program and the
+    others the full one, each form one stack.
+    """
+    targets = np.asarray(targets, dtype=np.complex128)
+    noises = np.asarray(noises, dtype=np.complex128)
+    half = _theta_symmetric(targets, noises)
+    reports = [None] * len(targets)
+    for form in (False, True):
+        part = np.flatnonzero(half == form)
+        if part.size:
+            args = (targets[part], noises, kind, form, gap_tol, feas_tol)
+            for i, report in zip(part, _parent_stack(*args)):
+                reports[i] = report
+    return reports
+
+
+def _parent_stack(targets, noises, kind, half: bool, gap_tol, feas_tol) -> list:
+    """_parent_search's reports for targets of one form, as one stack.
 
     Row group 0 fixes the sum over all lam and row group x + 1 the sum over
     lam_x = 0: sum G_lam - v (T_x - N_x) = N_x. v and a slack s are the
@@ -144,6 +189,13 @@ def _parent_search(
     parent structure within the verdict margin, its no when it does not; a
     solve that did not converge is Inconclusive.
 
+    The half program keeps the 2^(n-1) blocks with lam_1 = 0 and folds the
+    columns of G_not_lam onto G_lam through theta (_THETA in hvec
+    coordinates). Folded, group 0 reads tr(G_lam) I, and row 1 of group x
+    adds to its row 0 to give group 0's row 0, so it keeps row 0 of group 0,
+    rows 0, 2 and 3 of the others and the cap: 3n + 2 rows of full rank,
+    chosen from the structure alone so that a stack keeps the same rows.
+
     The programs differ only in v's column, so one ProgramBuilder writes the
     rows they share and each target's copy gets its own v column,
     -hvec(T_x - N_x). They form one stack (PreparedSdp over (k, m, n) rows)
@@ -152,7 +204,8 @@ def _parent_search(
     with the same bits, which is the entry point the benchmark's per-layer
     solver span counts.
     """
-    lams = list(itertools.product((0, 1), repeat=len(noises) - 1))
+    n = len(noises) - 1
+    lams = list(itertools.product((0, 1), repeat=n))
     n_l = len(lams)
     # hvec(V) lists V_00 = v and V_11 = s first, so the rows over G_lam and
     # two scalar blocks v, s are V's rows with its two w columns zero.
@@ -164,19 +217,26 @@ def _parent_search(
         )
     builder.add_operator_equation({n_l: 1.0, n_l + 1: 1.0}, 1.0)
     rows, rhs = builder.constraint_matrix()
-    stack = np.zeros((len(targets), len(rhs), v_col + 4))
+    k = len(targets)
+    stack = np.zeros((k, len(rhs), v_col + 4))
     stack[:, :, : v_col + 2] = rows
-    shifts = hermitian_hvec(np.asarray(targets) - np.asarray(noises))
-    stack[:, :-1, v_col] = -shifts.reshape(len(targets), -1)
-    prepared = PreparedSdp([2] * (n_l + 1), stack, rhs)
-    # Maximize v: the objective in hvec coordinates, 4 per 2x2 block.
-    objective = np.zeros(v_col + 4)
-    objective[v_col] = 1.0
-    if len(stack) == 1:
+    stack[:, :-1, v_col] = -hermitian_hvec(targets - noises).reshape(k, -1)
+    if half:
+        # lams lists lam_1 = 0 first, and not lam sits at n_l - 1 - lam.
+        keep = [0, *(4 * x + r for x in range(1, n + 1) for r in (0, 2, 3)), len(rhs) - 1]
+        rhs, stack = rhs[keep], stack[:, keep]
+        blocks = stack[:, :, :v_col].reshape(k, len(keep), n_l, 4)
+        folded = blocks[:, :, : n_l // 2] + blocks[:, :, n_l // 2 :][:, :, ::-1] @ _THETA
+        stack = np.concatenate((folded.reshape(k, len(keep), -1), stack[:, :, v_col:]), 2)
+    prepared = PreparedSdp([2] * (stack.shape[2] // 4), stack, rhs)
+    # Maximize v, the first hvec coordinate of V, the last block.
+    objective = np.zeros(stack.shape[2])
+    objective[-4] = 1.0
+    if k == 1:
         sols = [prepared.solve_with(objective, gap_tol=gap_tol, feas_tol=feas_tol)]
     else:
         sols = prepared.solve_batch(
-            np.tile(objective, (len(stack), 1)), gap_tol=gap_tol, feas_tol=feas_tol
+            np.tile(objective, (k, 1)), gap_tol=gap_tol, feas_tol=feas_tol
         )
     return [_report(kind, sol, gap_tol) for sol in sols]
 

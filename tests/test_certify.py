@@ -15,6 +15,7 @@ from steercert.quantum import (
     BlochPovmParams,
     MeasurementSet,
     assemblage_from,
+    bloch_from_povm,
     depolarize_measurements,
     noisy_singlet,
     povm_from_bloch,
@@ -244,6 +245,138 @@ def test_jm_batch_builds_its_rows_once(monkeypatch):
     sets = [sample_random_povm_set(rng, 3)[1] for _ in range(4)]
     assert len(jm_critical_visibility(sets)) == 4
     assert len(built) == 1
+
+
+def _unbiased_sets(n, seed):
+    """Unbiased sets of n measurements on random axes: sharp, unsharp
+    (sharpness uniform on [0, 1]) and the sharp set depolarized to 0.6."""
+    rng = np.random.default_rng(seed)
+    sharp = _sharp_set(*rng.normal(size=(n, 3)))
+    axes = rng.normal(size=(n, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    unsharp = povm_from_bloch(
+        BlochPovmParams(tuple(map(tuple, axes)), tuple(rng.uniform(size=n)), (1.0,) * n)
+    )
+    return [sharp, unsharp, depolarize_measurements(sharp, 0.6)]
+
+
+def _recorded_searches(monkeypatch):
+    """The argument tuples of every _parent_search call from here on."""
+    calls = []
+    search = certify._parent_search
+
+    def recording(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(certify, "_parent_search", recording)
+    return calls
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_half_and_full_parent_search_agree_on_unbiased_targets(monkeypatch, n):
+    """Unbiased sets, and noisy-singlet assemblages of them, are
+    theta-symmetric, and their half program has the optimum of the full
+    one: both critical visibilities agree to 1e-8, with the same verdicts
+    and statuses, and the public call returns the half program's report."""
+    calls = _recorded_searches(monkeypatch)
+    rng = np.random.default_rng(4600 + n)
+    for mset in _unbiased_sets(n, 4700 + n):
+        assemblage = assemblage_from(noisy_singlet(rng.uniform(0.5, 1.0)), mset)
+        for certifier, target in (
+            (jm_critical_visibility, mset),
+            (lhs_critical_visibility, assemblage),
+        ):
+            rep = certifier(target)
+            targets, noises, kind, gap_tol, feas_tol = calls.pop()
+            targets = np.asarray(targets, dtype=complex)
+            noises = np.asarray(noises, dtype=complex)
+            assert certify._theta_symmetric(targets, noises).all()
+            half, full = (
+                certify._parent_stack(targets, noises, kind, form, gap_tol, feas_tol)[0]
+                for form in (True, False)
+            )
+            assert _report_bits(rep) == _report_bits(half)
+            assert abs(half.critical_visibility - full.critical_visibility) <= 1e-8
+            assert (half.verdict, half.status) == (full.verdict, full.status)
+
+
+def _recorded_programs(monkeypatch):
+    """Every PreparedSdp that certify builds from here on."""
+    built = []
+
+    class Recording(PreparedSdp):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(certify, "PreparedSdp", Recording)
+    return built
+
+
+def _lorentz_blocks(prepared):
+    return [(g.dim, len(g.blocks)) for g in prepared.groups]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_parent_search_form_follows_the_input(monkeypatch, n):
+    """A theta-symmetric target gets 2^(n-1) + 1 blocks and 3n + 2 rows; a
+    set with one bias of 1 + 1e-9 keeps all 2^n + 1 blocks."""
+    built = _recorded_programs(monkeypatch)
+    sharp = _unbiased_sets(n, 4800 + n)[0]
+    jm_critical_visibility(sharp)
+    lhs_critical_visibility(assemblage_from(noisy_singlet(0.9), sharp))
+    for prepared in built:
+        assert _lorentz_blocks(prepared) == [(2, 2 ** (n - 1) + 1)]
+        assert prepared.m == 3 * n + 2
+    built.clear()
+    params = bloch_from_povm(sharp)
+    bias = (1.0 + 1e-9,) + params.bias[1:]
+    sharpness = (0.5,) + params.sharpness[1:]
+    jm_critical_visibility(povm_from_bloch(BlochPovmParams(params.axes, sharpness, bias)))
+    (prepared,) = built
+    assert _lorentz_blocks(prepared) == [(2, 2**n + 1)]
+
+
+def test_mixed_jm_batch_builds_one_program_per_form(monkeypatch):
+    """A batch of unbiased and biased sets is split by form: one
+    ProgramBuilder and one stack per form, with reports in input order."""
+    builders = []
+
+    class Counting(ProgramBuilder):
+        def __init__(self, dims):
+            super().__init__(dims)
+            builders.append(self)
+
+    monkeypatch.setattr(certify, "ProgramBuilder", Counting)
+    built = _recorded_programs(monkeypatch)
+    rng = np.random.default_rng(4900)
+    drawn = [sample_random_povm_set(rng, 3)[1] for _ in range(2)]
+    unbiased = _unbiased_sets(3, 4901)
+    sets = [unbiased[0], drawn[0], unbiased[1], unbiased[2], drawn[1]]
+    reports = jm_critical_visibility(sets)
+    assert len(builders) == 2
+    assert sorted(_lorentz_blocks(p) + [len(p.a_red)] for p in built) == [
+        [(2, 5), 3],
+        [(2, 9), 2],
+    ]
+    alone = [_report_bits(jm_critical_visibility(mset)) for mset in sets]
+    assert [_report_bits(rep) for rep in reports] == alone
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_steering_matches_joint_measurability_on_unbiased_sets(monkeypatch, n):
+    """The paper's link between incompatibility and steering, on the half
+    programs of both kinds: a noisy singlet at visibility v steered by an
+    unbiased set B has critical visibility min(1, jm_crit(B) / v)."""
+    built = _recorded_programs(monkeypatch)
+    rng = np.random.default_rng(5000 + n)
+    for mset in _unbiased_sets(n, 5100 + n):
+        v = rng.uniform(0.5, 1.0)
+        jm = jm_critical_visibility(mset).critical_visibility
+        lhs = lhs_critical_visibility(assemblage_from(noisy_singlet(v), mset))
+        assert abs(lhs.critical_visibility - min(1.0, jm / v)) <= 1e-6
+    assert {tuple(_lorentz_blocks(p)) for p in built} == {((2, 2 ** (n - 1) + 1),)}
 
 
 @pytest.mark.parametrize("w", [0.0, -0.1, 1.5, float("nan")])
