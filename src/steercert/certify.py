@@ -207,19 +207,17 @@ def _parent_stack(targets, noises, kind, half: bool, gap_tol, feas_tol) -> list:
     n = len(noises) - 1
     lams = list(itertools.product((0, 1), repeat=n))
     n_l = len(lams)
-    # hvec(V) lists V_00 = v and V_11 = s first, so the rows over G_lam and
-    # two scalar blocks v, s are V's rows with its two w columns zero.
+    # hvec(V) lists V_00 = v first, so v's column leads V's block.
     v_col = 4 * n_l
-    builder = ProgramBuilder([2] * n_l + [1, 1])
+    builder = ProgramBuilder([2] * (n_l + 1))
     for x, noise in enumerate(noises):
         builder.add_operator_equation(
             {li: 1.0 for li, lam in enumerate(lams) if x == 0 or lam[x - 1] == 0}, noise
         )
-    builder.add_operator_equation({n_l: 1.0, n_l + 1: 1.0}, 1.0)
+    builder.add_scalar_row({n_l: np.eye(2)}, 1.0)
     rows, rhs = builder.constraint_matrix()
     k = len(targets)
-    stack = np.zeros((k, len(rhs), v_col + 4))
-    stack[:, :, : v_col + 2] = rows
+    stack = np.repeat(rows[None], k, axis=0)
     stack[:, :-1, v_col] = -hermitian_hvec(targets - noises).reshape(k, -1)
     if half:
         # lams lists lam_1 = 0 first, and not lam sits at n_l - 1 - lam.

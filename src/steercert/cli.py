@@ -1,5 +1,8 @@
 """Command line front end for the experiment harness.
 
+Each subcommand offers the config fields its experiment reads
+(harness.EXPERIMENTS); a --config file takes only those, and flags override it.
+
 Exit codes: 0 on success, 2 for invalid configuration or input, 3 when a
 check run ends Inconclusive, 4 for numerical failures."""
 
@@ -9,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .harness import ONE_SHOT_EXPERIMENTS, ConfigError, ExperimentConfig, run_experiment
+from .harness import EXPERIMENTS, ConfigError, ExperimentConfig, run_experiment
 
 # Subcommand name: (experiment, help).
 _SUBCOMMANDS = {
@@ -21,9 +24,11 @@ _SUBCOMMANDS = {
     "witness-opt": ("witness_opt", "optimize the ensemble for a measurement file"),
 }
 
-# Every flag a runner can read, by config field; the flag is --field with
-# dashes for underscores.
+# The argparse options of each config field a runner reads: input_path is
+# the positional input, any other field the flag --field with dashes for
+# underscores.
 _FLAGS = {
+    "input_path": dict(metavar="input", help="JSON input file"),
     "n": dict(help="setting count (comma list for vn-table)"),
     "samples": dict(type=int, help="number of samples to draw"),
     "seed": dict(type=int, help="master seed"),
@@ -34,15 +39,7 @@ _FLAGS = {
     "full": dict(
         action="store_true", default=None, help="extend the default table to n = 6, 7"
     ),
-}
-_TOLERANCES = ("gap_tol", "feas_tol")
-# The flags each experiment's runner reads; every subcommand also takes
-# --out and --config, and the one-shot checks their input file.
-_RUNNER_FLAGS = {
-    "conjecture1": ("n", "samples", "seed", "threads") + _TOLERANCES,
-    "vn_table": ("n", "full", "seed", "restarts", "threads") + _TOLERANCES,
-    "nc_bound": ("n", "threads"),
-    **{experiment: _TOLERANCES for experiment in ONE_SHOT_EXPERIMENTS},
+    "out": dict(help="output prefix for .jsonl and summaries"),
 }
 
 
@@ -68,11 +65,9 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
     for name, (experiment, help_text) in _SUBCOMMANDS.items():
         sub = subparsers.add_parser(name, help=help_text)
-        if experiment in ONE_SHOT_EXPERIMENTS:
-            sub.add_argument("input_path", metavar="input", help="JSON input file")
-        for field in _RUNNER_FLAGS[experiment]:
-            sub.add_argument("--" + field.replace("_", "-"), dest=field, **_FLAGS[field])
-        sub.add_argument("--out", help="output prefix for .jsonl and summaries")
+        for field in EXPERIMENTS[experiment][1]:
+            flag = field if field == "input_path" else "--" + field.replace("_", "-")
+            sub.add_argument(flag, **_FLAGS[field])
         sub.add_argument("--config", help="JSON file with config defaults")
     return parser
 
@@ -89,8 +84,6 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
     data["experiment"] = experiment
-    if isinstance(data.get("n"), list):
-        data["n"] = tuple(data["n"])
     # Every flag that names a config field overrides the file's value.
     overrides = dict(vars(args), n=_parse_n(getattr(args, "n", None), experiment))
     for key, value in overrides.items():

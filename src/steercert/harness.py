@@ -64,8 +64,6 @@ PROBE_STEP = 1e-3
 TRIVIAL_BASELINE = 0.5
 # The files a run with an output prefix writes, by suffix.
 _OUT_SUFFIXES = (".jsonl", ".summary.json", ".summary.csv")
-# The experiments that answer about one input file, which sets their n.
-ONE_SHOT_EXPERIMENTS = ("jm_check", "steer_check", "witness_opt")
 
 
 class ConfigError(ValueError):
@@ -119,6 +117,10 @@ def _check_out_prefix(out) -> None:
 
 @dataclass
 class ExperimentConfig:
+    """The settings of one run. The experiment reads the fields of its row
+    of EXPERIMENTS, and any other field at a value other than its default
+    raises ConfigError, as its flag would be refused on the command line."""
+
     experiment: str
     n: object = None
     samples: int = 200
@@ -132,8 +134,12 @@ class ExperimentConfig:
     input_path: str | None = None
 
     def __post_init__(self) -> None:
-        if self.experiment not in _RUNNERS:
+        if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
+        _, reads = EXPERIMENTS[self.experiment]
+        for name, spec in self.__dataclass_fields__.items():
+            if name not in (*reads, "experiment") and getattr(self, name) != spec.default:
+                raise ConfigError(f"{self.experiment} does not read {name}")
         self.samples = _converted(int, "samples", self.samples)
         self.seed = _converted(int, "seed", self.seed) & MASK64
         self.threads = _converted(int, "threads", self.threads)
@@ -141,7 +147,7 @@ class ExperimentConfig:
             raise ConfigError("samples must be nonnegative")
         if self.threads < 1:
             raise ConfigError("threads must be at least 1")
-        for name in ("gap_tol", "feas_tol"):
+        for name in _TOLERANCES:
             value = _converted(float, name, getattr(self, name))
             if not 0.0 < value < math.inf:
                 raise ConfigError(f"{name} must be positive and finite")
@@ -154,9 +160,8 @@ class ExperimentConfig:
         if not isinstance(self.full, bool):
             raise ConfigError(f"full must be true or false, got {self.full!r}")
         self.n = self._normalize_n()
-        if self.experiment in ONE_SHOT_EXPERIMENTS:
-            if not self.input_path:
-                raise ConfigError(f"{self.experiment} needs an input file")
+        if "input_path" in reads and not self.input_path:
+            raise ConfigError(f"{self.experiment} needs an input file")
         if self.out:
             _check_out_prefix(self.out)
 
@@ -745,18 +750,29 @@ def run_witness_opt(config: ExperimentConfig):
     )
 
 
-_RUNNERS = {
-    "conjecture1": run_conjecture1,
-    "vn_table": run_vn_table,
-    "nc_bound": run_nc_bound,
-    "jm_check": run_jm_check,
-    "steer_check": run_steer_check,
-    "witness_opt": run_witness_opt,
+_TOLERANCES = ("gap_tol", "feas_tol")
+# The one-shot checks answer about one input file, which also sets their n.
+_ONE_SHOT = ("input_path", *_TOLERANCES, "out")
+# Per experiment, its runner and the config fields the runner reads: the
+# fields its CLI subcommand offers. ExperimentConfig refuses a value other
+# than the default for any other field.
+EXPERIMENTS = {
+    "conjecture1": (
+        run_conjecture1, ("n", "samples", "seed", "threads", *_TOLERANCES, "out")
+    ),
+    "vn_table": (
+        run_vn_table, ("n", "full", "seed", "restarts", "threads", *_TOLERANCES, "out")
+    ),
+    "nc_bound": (run_nc_bound, ("n", "threads", "out")),
+    "jm_check": (run_jm_check, _ONE_SHOT),
+    "steer_check": (run_steer_check, _ONE_SHOT),
+    "witness_opt": (run_witness_opt, _ONE_SHOT),
 }
 
 
 def run_experiment(config: ExperimentConfig):
-    return _RUNNERS[config.experiment](config)
+    run, _ = EXPERIMENTS[config.experiment]
+    return run(config)
 
 
 # -- output files -----------------------------------------------------------

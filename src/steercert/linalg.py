@@ -38,10 +38,6 @@ class HermitianOperator:
     def identity(cls, dim: int) -> "HermitianOperator":
         return cls(np.eye(dim))
 
-    @classmethod
-    def zeros(cls, dim: int) -> "HermitianOperator":
-        return cls(np.zeros((dim, dim)))
-
     def trace(self) -> float:
         return float(np.trace(self._entries).real)
 

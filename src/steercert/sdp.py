@@ -1265,10 +1265,6 @@ class ProgramBuilder:
         row = np.zeros((1, int(self._start[-1])))
         for j, op in coeffs.items():
             dim = self.dims[j]
-            if np.isscalar(op):
-                if dim != 1:
-                    raise ValueError("scalar coefficients require a 1x1 block")
-                op = [[op]]
             if np.shape(op) != (dim, dim):
                 raise ValueError("coefficient dimension mismatch")
             row[0, self._start[j] : self._start[j + 1]] = hermitian_hvec(op)

@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from steercert.cli import main
+from steercert.cli import _SUBCOMMANDS, build_parser, main
+from steercert.harness import EXPERIMENTS
 
 
 def test_nc_bound_command(capsys):
@@ -158,7 +159,7 @@ _BAD_DIMS = [
         # Malformed flags and config values; the JSON file is the --config.
         ("vn-table --n 2,x", None),
         ("conj1 --n abc --samples 0", None),
-        ("conj1 --samples 0 --config", {"restarts": "x"}),
+        ("vn-table --n 2 --config", {"restarts": "x"}),
         ("conj1 --samples 0 --config", {"gap_tol": "x"}),
         ("conj1 --samples 0 --config", {"threads": None}),
         ("conj1 --samples 0 --config", {"n": [3]}),
@@ -194,6 +195,12 @@ _BAD_DIMS = [
         ("jm-check --samples 5 --restarts 3", {"bloch": _ZX}),
         ("conj1 --samples 0 --restarts 3", None),
         ("nc-bound --n 2 --seed 3", None),
+        # A config-file key that the subcommand's runner does not read; zx.json
+        # is a valid jm-check input.
+        ("conj1 --samples 0 --config", {"restarts": 3}),
+        ("vn-table --n 2 --config", {"samples": 2}),
+        ("nc-bound --n 2 --config", {"seed": 3}),
+        ("jm-check {tmp}/zx.json --config", {"samples": 5}),
     ]
     + [(command, data) for command, data, _ in _BAD_DIMS],
     ids=[
@@ -230,13 +237,18 @@ _BAD_DIMS = [
         "jm-check-unread-flags",
         "conj1-unread-restarts",
         "nc-bound-unread-seed",
+        "config-conj1-unread-restarts",
+        "config-vn-table-unread-samples",
+        "config-nc-bound-unread-seed",
+        "config-jm-check-unread-samples",
     ]
     + [name for _, _, name in _BAD_DIMS],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, command, data):
-    # {tmp} in a command is tmp_path, which holds the input file bad.json
-    # and a directory run.jsonl.
+    # {tmp} in a command is tmp_path, which holds the input file bad.json,
+    # the Z/X pair in zx.json and a directory run.jsonl.
     (tmp_path / "run.jsonl").mkdir()
+    (tmp_path / "zx.json").write_text(json.dumps({"bloch": _ZX}))
     argv = [arg.format(tmp=tmp_path) for arg in command.split()]
     if data is not None:
         path = tmp_path / "bad.json"
@@ -252,6 +264,18 @@ def test_malformed_input_exits_2(tmp_path, capsys, command, data):
     assert err.startswith("error:") or (
         err.startswith("usage:") and "error: unrecognized arguments" in err
     )
+
+
+def test_subcommands_offer_the_fields_their_experiment_reads():
+    """Each subcommand's flags and positional input are its experiment's row
+    of EXPERIMENTS, plus --config; the rows hold 30 (experiment, field)
+    pairs of the 60 the ten settable config fields would give."""
+    (subparsers,) = build_parser()._subparsers._group_actions
+    for name, (experiment, _) in _SUBCOMMANDS.items():
+        offered = {action.dest for action in subparsers.choices[name]._actions}
+        _, reads = EXPERIMENTS[experiment]
+        assert offered == {*reads, "config", "help"}
+    assert sum(len(reads) for _, reads in EXPERIMENTS.values()) == 30
 
 
 def test_cli_loads_without_the_lp_solver():

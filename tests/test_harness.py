@@ -42,8 +42,8 @@ def test_config_validation():
         ExperimentConfig(experiment="conjecture1", samples=-1)
     with pytest.raises(ConfigError):
         ExperimentConfig(experiment="conjecture1", gap_tol=0.0)
-    with pytest.raises(ConfigError):
-        ExperimentConfig(experiment="conjecture1", restarts=0)
+    with pytest.raises(ConfigError, match="restarts must be at least 1"):
+        ExperimentConfig(experiment="vn_table", restarts=0)
     with pytest.raises(ConfigError):
         ExperimentConfig(experiment="jm_check")
     cfg = ExperimentConfig(experiment="vn_table")
@@ -59,6 +59,57 @@ def test_config_full_must_be_a_boolean(full):
     # Any non-empty string is truthy: {"full": "no"} would run n=6,7.
     with pytest.raises(ConfigError, match="full"):
         ExperimentConfig(experiment="vn_table", full=full)
+
+
+# A value other than the default for every field outside an experiment's
+# row of EXPERIMENTS.
+_UNREAD_VALUES = {
+    "n": 3,
+    "samples": 5,
+    "seed": 3,
+    "restarts": 3,
+    "threads": 2,
+    "gap_tol": 1e-7,
+    "feas_tol": 1e-7,
+    "full": True,
+    "input_path": "x.json",
+}
+
+
+def _input(experiment) -> dict:
+    """The input file of an experiment that reads one."""
+    _, reads = harness.EXPERIMENTS[experiment]
+    return {"input_path": "x.json"} if "input_path" in reads else {}
+
+
+@pytest.mark.parametrize(
+    "experiment, name",
+    [
+        (experiment, name)
+        for experiment, (_, reads) in harness.EXPERIMENTS.items()
+        for name in _UNREAD_VALUES
+        if name not in reads
+    ],
+)
+def test_config_refuses_fields_the_experiment_does_not_read(experiment, name):
+    with pytest.raises(ConfigError, match=f"{experiment} does not read {name}"):
+        ExperimentConfig(
+            experiment=experiment, **_input(experiment), **{name: _UNREAD_VALUES[name]}
+        )
+
+
+@pytest.mark.parametrize("experiment", list(harness.EXPERIMENTS))
+def test_config_takes_defaults_of_fields_the_experiment_does_not_read(experiment):
+    # This passes threads=1 to the one-shot checks, as perfbench's certify
+    # workload does.
+    _, reads = harness.EXPERIMENTS[experiment]
+    defaults = {
+        name: spec.default
+        for name, spec in ExperimentConfig.__dataclass_fields__.items()
+        if name != "experiment" and name not in reads
+    }
+    cfg = ExperimentConfig(experiment=experiment, **_input(experiment), **defaults)
+    assert cfg.experiment == experiment
 
 
 def test_config_round_trip():
@@ -462,8 +513,10 @@ def test_witness_opt_run(tmp_path):
             {"bloch": [[0.0, 0.0, 1.0, 1.0, 1.0], [1.0, 0.0, 0.0, 1.0, 1.0]]}
         )
     )
-    # The input file sets n; a config value is not read.
-    cfg = ExperimentConfig(experiment="witness_opt", n=9, input_path=str(path))
+    # The input file sets n, so a config value for it is refused.
+    with pytest.raises(ConfigError, match="witness_opt does not read n"):
+        ExperimentConfig(experiment="witness_opt", n=9, input_path=str(path))
+    cfg = ExperimentConfig(experiment="witness_opt", input_path=str(path))
     summary, records = run_witness_opt(cfg)
     rec = records[0]
     assert abs(rec["witness_value"] - (2.0 + SQRT2) / 4.0) < 1e-6

@@ -676,7 +676,7 @@ def _reference_rows(builder):
         if coeffs is not None:
             row = np.zeros(start[-1])
             for j, op in coeffs.items():
-                op = HermitianOperator([[op]] if np.isscalar(op) else op)
+                op = HermitianOperator(op)
                 row[start[j] : start[j + 1]] = hvec(op.entries)
             rows.append(row)
             rhs.append(float(r))
@@ -725,7 +725,7 @@ def _mixed_builder():
     builder.add_scalar_row(
         {
             0: np.eye(3),
-            1: 2.0,
+            1: [[2.0]],
             2: random_hermitian(rng, 2),
             3: np.eye(2),
         },
@@ -859,11 +859,11 @@ def _stacked_rows(seed: int, k: int, dependent=()):
         )
         builder.add_operator_equation({0: 1.0 + rng.random()}, 3.0 * np.eye(3))
         c = 10.0 * rng.normal()
-        builder.add_scalar_row({1: 10.0, 4: c}, 15.0)
-        builder.add_scalar_row({1: -10.0, 4: 10.0}, 15.0)
+        builder.add_scalar_row({1: [[10.0]], 4: [[c]]}, 15.0)
+        builder.add_scalar_row({1: [[-10.0]], 4: [[10.0]]}, 15.0)
         sign = 1.0 if i in dependent else -1.0
         builder.add_scalar_row(
-            {1: 0.1 * (10.0 - 10.0 * sign), 4: 0.1 * (c + 10.0 * sign)}, 3.0
+            {1: [[0.1 * (10.0 - 10.0 * sign)]], 4: [[0.1 * (c + 10.0 * sign)]]}, 3.0
         )
         stack.append(builder.constraint_matrix())
     return np.array([a for a, _ in stack]), stack[0][1]
