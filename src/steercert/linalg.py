@@ -51,9 +51,9 @@ class HermitianOperator:
         return HermitianOperator(-self._entries)
 
     def __mul__(self, scalar: float) -> "HermitianOperator":
-        if isinstance(scalar, complex) and scalar.imag != 0:
+        if np.imag(scalar) != 0:
             raise ValueError("scaling a Hermitian matrix requires a real scalar")
-        return HermitianOperator(self._entries * float(scalar))
+        return HermitianOperator(self._entries * float(np.real(scalar)))
 
     __rmul__ = __mul__
 

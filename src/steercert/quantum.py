@@ -132,9 +132,11 @@ class BlochPovmParams:
         alpha = tuple(float(a) for a in self.bias)
         if not (len(axes) == len(eta) == len(alpha)) or not axes:
             raise ValueError("per-setting parameter lists must align")
+        if any(len(v) != 3 for v in axes):
+            raise ValueError("axes are 3-vectors")
+        if not np.all(np.isfinite([*(c for v in axes for c in v), *eta, *alpha])):
+            raise ValueError("Bloch parameters must be finite")
         for v in axes:
-            if len(v) != 3:
-                raise ValueError("axes are 3-vectors")
             if abs(np.linalg.norm(v) - 1.0) > STRUCTURAL_TOL:
                 raise ValueError("axes must be unit vectors")
         for e, a in zip(eta, alpha):
@@ -173,15 +175,19 @@ class BlochPovmParams:
         return cls(tuple(axes), tuple(eta), tuple(alpha))
 
 
+def bloch_effect(axis, sharpness: float = 1.0, bias: float = 1.0) -> np.ndarray:
+    """The qubit effect (bias I + sharpness axis.sigma)/2 as a complex 2x2
+    array; the defaults give the projector onto the Bloch vector ``axis``."""
+    pauli_part = sum(c * s.entries for c, s in zip(axis, PAULIS))
+    return 0.5 * (bias * np.eye(2, dtype=np.complex128) + sharpness * pauli_part)
+
+
 def povm_from_bloch(params: BlochPovmParams) -> MeasurementSet:
     """Effects B_0 = (alpha I + eta n.sigma)/2 and B_1 = I - B_0 per setting."""
     settings = []
-    ident = np.eye(2, dtype=np.complex128)
     for v, eta, alpha in zip(params.axes, params.sharpness, params.bias):
-        pauli_part = sum(c * s.entries for c, s in zip(v, PAULIS))
-        b0 = 0.5 * (alpha * ident + eta * pauli_part)
-        b1 = ident - b0
-        settings.append(Povm([HermitianOperator(b0), HermitianOperator(b1)]))
+        b0 = bloch_effect(v, eta, alpha)
+        settings.append(Povm([HermitianOperator(b0), HermitianOperator(np.eye(2) - b0)]))
     return MeasurementSet(settings)
 
 
@@ -291,9 +297,7 @@ def assemblage_from(state: HermitianOperator, alice: MeasurementSet) -> Assembla
 def sharp_povm(axis) -> Povm:
     """Projective two-outcome qubit measurement along a Bloch axis."""
     axis = np.asarray(axis, dtype=float)
-    axis = axis / np.linalg.norm(axis)
-    pauli_part = sum(c * s.entries for c, s in zip(axis, PAULIS))
-    b0 = HermitianOperator(0.5 * (np.eye(2) + pauli_part))
+    b0 = HermitianOperator(bloch_effect(axis / np.linalg.norm(axis)))
     return Povm([b0, HermitianOperator(np.eye(2)) - b0])
 
 

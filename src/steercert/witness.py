@@ -19,7 +19,7 @@ import numpy as np
 
 from .linalg import HermitianOperator
 from .quantum import (
-    PAULIS, MeasurementSet, Povm, check_binary_qubit, noisy_singlet, random_axis,
+    MeasurementSet, Povm, bloch_effect, check_binary_qubit, noisy_singlet, random_axis,
 )
 from .sdp import STATUS_OPTIMAL, ProgramBuilder, hermitian_hvec, hvec
 from .tolerances import DEFAULT_FEAS_TOL, DEFAULT_GAP_TOL
@@ -30,8 +30,17 @@ SEESAW_MAX_ROUNDS = 300
 
 
 class Scenario:
-    """Combinatorics of the n-setting game: preparations, targets and the
-    parity strings whose mixtures are operationally constrained."""
+    """The n-setting game as arrays, in preparation order: preparation
+    p = a 2^(n-1) + xi is (a, x_strings[xi]).
+
+    targets[p] is the target string t(a, x) = (a, x XOR a) of preparation p,
+    shape (2^n, n). weight is 1 / (n 2^(n-1)), the uniform weight of one
+    (x, y) pair. success_mask[a, b, xi, y] is 1 where b is bit y of
+    t(a, x_strings[xi]) and 0 elsewhere (C-contiguous, since sums over it
+    follow its memory order). parity_signs(strings) gives the side of each
+    preparation in the mixing equivalence of each string. The constraint
+    strings are the parity strings with an odd number of ones, at least
+    three, whose mixtures the game constrains."""
 
     def __init__(self, n: int) -> None:
         n = int(n)
@@ -47,42 +56,24 @@ class Scenario:
             for r in itertools.product((0, 1), repeat=n)
             if sum(r) >= 3 and sum(r) % 2 == 1
         )
-        self._mask = None
+        n_x = len(self.x_strings)
+        a = np.repeat((0, 1), n_x)[:, None]
+        self.targets = np.hstack([a, np.tile(self.x_strings, (2, 1)) ^ a])
+        self.weight = 1.0 / (n * n_x)
+        t = self.targets.reshape(2, 1, n_x, n)
+        self.success_mask = np.ascontiguousarray(
+            t == np.arange(2)[:, None, None], dtype=float
+        )
 
-    def target_string(self, a: int, x) -> tuple:
-        return (a,) + tuple(bit ^ a for bit in x)
+    def parity_signs(self, strings) -> np.ndarray:
+        """Sign (-1)^(r . t) per string r and preparation, shape (k, 2^n):
+        +1 for the preparations on side 0 of r's mixing equivalence."""
+        strings = np.asarray(strings, dtype=int).reshape(len(strings), self.n)
+        return 1.0 - 2.0 * (strings @ self.targets.T % 2)
 
-    def winning_outcome(self, a: int, x, y: int) -> int:
-        """Bit of the target string probed by setting y (1-based)."""
-        if not 1 <= y <= self.n:
-            raise ValueError("setting label out of range")
-        if y == 1:
-            return a
-        return x[y - 2] ^ a
-
-    @property
-    def success_mask(self) -> np.ndarray:
-        """Indicator [b == target bit] of shape (a, b, x, y)."""
-        if self._mask is None:
-            n_x = len(self.x_strings)
-            mask = np.zeros((2, 2, n_x, self.n))
-            for a in (0, 1):
-                for xi, x in enumerate(self.x_strings):
-                    t = self.target_string(a, x)
-                    for yi in range(self.n):
-                        mask[a, t[yi], xi, yi] = 1.0
-            self._mask = mask
-        return self._mask
-
-    def targets(self, preparations) -> np.ndarray:
-        """Target strings of the given (a, x) preparations, shape (k, n)."""
-        return np.array([self.target_string(a, x) for a, x in preparations])
-
-    def parity_side(self, r, a: int, x) -> int:
-        """Which side of the mixing equivalence for string r the
-        preparation (a, x) falls on."""
-        t = self.target_string(a, x)
-        return sum(ri * ti for ri, ti in zip(r, t)) % 2
+    def score(self, table) -> float:
+        """Average winning probability of a table p(a, b | x, y)."""
+        return float(self.weight * np.sum(self.success_mask * table))
 
 
 class Statistics:
@@ -109,8 +100,7 @@ class Statistics:
 
 def evaluate_witness(scenario: Scenario, stats: Statistics) -> float:
     """Average winning probability of the statistics in the n-setting game."""
-    weight = 1.0 / (scenario.n * len(scenario.x_strings))
-    return float(weight * np.sum(scenario.success_mask * stats.table))
+    return scenario.score(stats.table)
 
 
 def _born_table(a_mats, b_mats, rhot) -> np.ndarray:
@@ -166,47 +156,23 @@ def noncontextual_bound_oracle(n: int) -> float:
     from scipy.optimize import linprog  # the package's largest import; only here
 
     scenario = Scenario(n)
-    preps = scenario.preparations
-    lams = list(itertools.product((0, 1), repeat=n))
-    n_p, n_l = len(preps), len(lams)
-    weight = 1.0 / (n * n_p)
+    lams = np.array(list(itertools.product((0, 1), repeat=n)))
+    n_p, n_l = len(scenario.targets), len(lams)
+    weight = 0.5 * scenario.weight  # 1 / (n n_p), exactly
+    # Variable (p, l) is the weight of response function l in preparation p;
+    # it wins on the settings where l agrees with the target of p.
+    matches = (scenario.targets[:, None, :] == lams[None, :, :]).sum(axis=2)
+    cost = (-weight * matches).ravel()
+    # Each preparation's weights sum to one, and per pattern r and response
+    # function l the two sides of r carry equal weight.
+    patterns = lams[lams.sum(axis=1) >= 2]
+    rows = np.vstack([
+        np.kron(np.eye(n_p), np.ones(n_l)),
+        np.kron(scenario.parity_signs(patterns), np.eye(n_l)),
+    ])
+    rhs = np.concatenate([np.ones(n_p), np.zeros(len(patterns) * n_l)])
 
-    cost = np.zeros(n_p * n_l)
-    for pi, (a, x) in enumerate(preps):
-        t = scenario.target_string(a, x)
-        for li, lam in enumerate(lams):
-            match = sum(1 for ty, ly in zip(t, lam) if ty == ly)
-            cost[pi * n_l + li] = -weight * match
-
-    rows = []
-    rhs = []
-    for pi in range(n_p):
-        row = np.zeros(n_p * n_l)
-        row[pi * n_l : (pi + 1) * n_l] = 1.0
-        rows.append(row)
-        rhs.append(1.0)
-    patterns = [
-        r for r in itertools.product((0, 1), repeat=n) if sum(r) >= 2
-    ]
-    for r in patterns:
-        signs = [
-            1.0 if scenario.parity_side(r, a, x) == 0 else -1.0
-            for (a, x) in preps
-        ]
-        for li in range(n_l):
-            row = np.zeros(n_p * n_l)
-            for pi, s in enumerate(signs):
-                row[pi * n_l + li] = s
-            rows.append(row)
-            rhs.append(0.0)
-
-    res = linprog(
-        cost,
-        A_eq=np.array(rows),
-        b_eq=np.array(rhs),
-        bounds=(0.0, 1.0),
-        method="highs",
-    )
+    res = linprog(cost, A_eq=rows, b_eq=rhs, bounds=(0.0, 1.0), method="highs")
     if not res.success:
         raise RuntimeError(f"classical-bound LP failed: {res.message}")
     return float(-res.fun)
@@ -223,37 +189,30 @@ class EnsembleResult:
     gap: float
 
 
-def _add_parity_rows(builder: ProgramBuilder, scenario: Scenario, block) -> None:
+def _add_parity_rows(builder: ProgramBuilder, scenario: Scenario, blocks) -> None:
     """The mixing equivalences on 2x2 blocks: per constraint string r, the
     blocks of the preparations on side 0 of r sum to those on side 1.
-    block(a, xi) is the block of preparation (a, x_strings[xi])."""
+    blocks lists the block of each preparation, in preparation order."""
     zero = np.zeros((2, 2))
-    for r in scenario.constraint_strings:
-        terms = {
-            block(a, xi): 1.0 if scenario.parity_side(r, a, x) == 0 else -1.0
-            for a in (0, 1)
-            for xi, x in enumerate(scenario.x_strings)
-        }
-        builder.add_operator_equation(terms, zero)
+    for signs in scenario.parity_signs(scenario.constraint_strings):
+        builder.add_operator_equation(dict(zip(blocks, signs)), zero)
 
 
 @lru_cache(maxsize=None)
 def _ensemble_program(n: int):
-    """The ensemble program, a block per preparation in the scenario's
-    order, and the target strings of those preparations."""
+    """The ensemble program: a block per preparation, in preparation order."""
     scenario = Scenario(n)
-    preps = scenario.preparations
     n_x = len(scenario.x_strings)
-    builder = ProgramBuilder([2] * len(preps))
+    builder = ProgramBuilder([2] * (2 * n_x))
     ident = np.eye(2)
     zero = np.zeros((2, 2))
     for xi in range(n_x):
         builder.add_scalar_row({xi: ident, n_x + xi: ident}, 1.0)
-    _add_parity_rows(builder, scenario, lambda a, xi: a * n_x + xi)
+    _add_parity_rows(builder, scenario, range(2 * n_x))
     for xi in range(1, n_x):
         terms = {xi: 1.0, n_x + xi: 1.0, 0: -1.0, n_x: -1.0}
         builder.add_operator_equation(terms, zero)
-    return scenario, builder.prepared(), scenario.targets(preps)
+    return builder.prepared()
 
 
 def check_ensemble_input(scenario: Scenario, mset: MeasurementSet) -> None:
@@ -293,15 +252,14 @@ def optimize_ensemble(
         check_ensemble_input(scenario, mset)
     if not sets:
         return []
-    cached_scenario, prepared, targets = _ensemble_program(scenario.n)
-    weight = 1.0 / (scenario.n * len(cached_scenario.x_strings))
+    prepared = _ensemble_program(scenario.n)
     settings = np.arange(scenario.n)
 
     def scores(mset: MeasurementSet) -> np.ndarray:
         # Preparation (a, x) scores sum_y B_{t_y|y} with target
         # t = t(a, x); the sum runs over y in order.
         effects = np.array([[e.entries for e in p.effects] for p in mset.settings])
-        return weight * effects[settings, targets].sum(axis=1)
+        return scenario.weight * effects[settings, scenario.targets].sum(axis=1)
 
     objectives = hvec(np.array([scores(mset) for mset in sets])).reshape(len(sets), -1)
     sols = prepared.solve_batch(objectives, gap_tol=gap_tol, feas_tol=feas_tol)
@@ -353,22 +311,20 @@ class SeesawResult:
 
 @lru_cache(maxsize=None)
 def _alice_program(n: int):
-    """The Alice effect program, blocks 2 x + a for effect a of setting x,
-    and select, which marks with select[2 y + b, 2 x + a] = 1 that bit y of
-    the target t(a, x) is b: the Alice effects Bob's effect b of setting y
-    wins with."""
+    """The scenario, the Alice effect program, blocks 2 x + a for effect a
+    of setting x, and select, which marks with select[2 y + b, 2 x + a] = 1
+    that bit y of the target t(a, x) is b: the Alice effects Bob's effect b
+    of setting y wins with."""
     scenario = Scenario(n)
     n_x = len(scenario.x_strings)
     builder = ProgramBuilder([2] * (2 * n_x))
     ident = np.eye(2)
     for xi in range(n_x):
         builder.add_operator_equation({2 * xi: 1.0, 2 * xi + 1: 1.0}, ident)
-    _add_parity_rows(builder, scenario, lambda a, xi: 2 * xi + a)
-    targets = scenario.targets(
-        [(a, x) for x in scenario.x_strings for a in (0, 1)]
-    )
-    select = (targets.T[:, None, :] == np.arange(2)[:, None]).reshape(2 * n, -1)
-    return scenario, builder.prepared(), select.astype(float)
+    blocks = [2 * xi + a for a in (0, 1) for xi in range(n_x)]
+    _add_parity_rows(builder, scenario, blocks)
+    select = scenario.success_mask.transpose(3, 1, 2, 0).reshape(2 * n, -1)
+    return scenario, builder.prepared(), select
 
 
 # The see-saw works on stacks of strategies: Alice effects (k, 2 n_x, 2, 2)
@@ -380,9 +336,7 @@ def _alice_program(n: int):
 def _strategy_value(alice, bob, rhot, scenario: Scenario) -> float:
     n_x = len(scenario.x_strings)
     a_arr = alice.reshape(n_x, 2, 2, 2).swapaxes(0, 1)
-    table = _born_table(a_arr, bob.swapaxes(0, 1), rhot)
-    weight = 1.0 / (scenario.n * n_x)
-    return float(weight * np.sum(scenario.success_mask * table))
+    return scenario.score(_born_table(a_arr, bob.swapaxes(0, 1), rhot))
 
 
 def _bob_step(alice, rhot, scenario: Scenario, select):
@@ -392,11 +346,10 @@ def _bob_step(alice, rhot, scenario: Scenario, select):
     Returns the Bob effects and the values (k,)."""
     k = len(alice)
     n = scenario.n
-    weight = 1.0 / (n * len(scenario.x_strings))
     # Tr_A[(A x I) rho] as a map on flattened 2x2 matrices.
     to_bob = rhot.transpose(1, 3, 2, 0).reshape(4, 4)
     reduced = np.matmul(alice.reshape(k, -1, 4), to_bob.T)
-    l_mats = weight * np.matmul(select, reduced).reshape(k, n, 2, 2, 2)
+    l_mats = scenario.weight * np.matmul(select, reduced).reshape(k, n, 2, 2, 2)
     delta = l_mats[:, :, 0] - l_mats[:, :, 1]
     delta = 0.5 * (delta + np.swapaxes(delta.conj(), -1, -2))
     vals, vecs = np.linalg.eigh(delta)
@@ -412,21 +365,18 @@ def _bob_step(alice, rhot, scenario: Scenario, select):
 def _alice_objective(bob, rhot, scenario: Scenario, select) -> np.ndarray:
     """Objective rows of the Alice program for a stack of Bob strategies."""
     k = len(bob)
-    weight = 1.0 / (scenario.n * len(scenario.x_strings))
     # Tr_B[rho (I x B)] as a map on flattened 2x2 matrices.
     to_alice = rhot.transpose(0, 2, 3, 1).reshape(4, 4)
     reduced = np.matmul(bob.reshape(k, -1, 4), to_alice.T)
-    coeffs = weight * np.matmul(select.T, reduced)
+    coeffs = scenario.weight * np.matmul(select.T, reduced)
     return hermitian_hvec(coeffs.reshape(k, -1, 2, 2)).reshape(k, -1)
 
 
 def _random_sharp_alice(rng, n_x: int):
     mats = []
     for _ in range(n_x):
-        u = random_axis(rng)
-        e = 0.5 * (np.eye(2) + sum(c * s.entries for c, s in zip(u, PAULIS)))
-        mats.append(e.astype(np.complex128))
-        mats.append(np.eye(2, dtype=np.complex128) - e)
+        e = bloch_effect(random_axis(rng))
+        mats += [e, np.eye(2, dtype=np.complex128) - e]
     return mats
 
 

@@ -191,6 +191,7 @@ _BAD_DIMS = [
         ("witness-opt", {"effects": [_QUTRIT_SPLIT] * 2}),
         ("witness-opt", {"effects": [[_THIRD_IDENTITY] * 3] * 2}),
         ("witness-opt", {"bloch": _NINE_SETTINGS[:8]}),
+        ("jm-check", {"bloch": [[math.nan, 0.0, 1.0, 0.5, 1.0], _ZX[0]]}),
         # A flag that the subcommand's runner does not read.
         ("jm-check --samples 5 --restarts 3", {"bloch": _ZX}),
         ("conj1 --samples 0 --restarts 3", None),
@@ -234,6 +235,7 @@ _BAD_DIMS = [
         "witness-qutrit",
         "witness-three-outcomes",
         "witness-eight-settings",
+        "jm-nan-axis",
         "jm-check-unread-flags",
         "conj1-unread-restarts",
         "nc-bound-unread-seed",

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -46,7 +48,14 @@ def test_scalar_multiplication_requires_real():
     op = HermitianOperator.identity(2)
     with pytest.raises(ValueError):
         op * (1.0 + 1j)
+    with pytest.raises(ValueError):
+        np.complex128(1.0 + 1j) * op
     assert (2 * op).trace() == pytest.approx(4.0)
+    # A complex scalar with no imaginary part scales like its real part.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scalar in (2 + 0j, np.complex128(2), 2.0):
+            assert np.array_equal((op * scalar).entries, 2.0 * np.eye(2))
 
 
 def test_json_round_trip():

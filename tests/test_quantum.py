@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,15 @@ def test_bloch_params_validation():
         BlochPovmParams(((0.0, 0.0, 1.0),), (1.5,), (1.0,))
     with pytest.raises(ValueError):
         BlochPovmParams(((0.0, 0.0, 1.0),), (0.8,), (0.5,))
+    # Non-finite data: a NaN axis component passes the norm check.
+    for axis, eta, alpha in (
+        ((math.nan, 0.0, 1.0), 0.5, 1.0),
+        ((0.0, 0.0, 1.0), math.nan, 1.0),
+        ((0.0, 0.0, 1.0), 1.0, math.nan),
+        ((math.inf, 0.0, 1.0), 1.0, 1.0),
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            BlochPovmParams((axis, (0.0, 0.0, 1.0)), (eta, 0.5), (alpha, 1.0))
 
 
 def test_bloch_round_trip():

@@ -789,7 +789,7 @@ def _batch_program(name):
     if name == "alice3":
         return witness._alice_program(3)[1]
     if name.startswith("ensemble"):
-        return witness._ensemble_program(int(name[-1]))[1]
+        return witness._ensemble_program(int(name[-1]))
     _RecordingBuilder.built = []
     return _mixed_builder().prepared()
 

@@ -40,20 +40,40 @@ def test_scenario_counts():
 
 def test_target_string():
     s = Scenario(3)
-    assert s.target_string(1, (0, 1)) == (1, 1, 0)
-    assert s.target_string(0, (0, 1)) == (0, 0, 1)
-    for a, x in s.preparations:
-        t = s.target_string(a, x)
-        for y in range(1, 4):
-            assert s.winning_outcome(a, x, y) == t[y - 1]
+    assert tuple(s.targets[s.preparations.index((1, (0, 1)))]) == (1, 1, 0)
+    assert tuple(s.targets[s.preparations.index((0, (0, 1)))]) == (0, 0, 1)
+    # Bob's winning outcome for setting y is bit y of the target.
+    for p, (a, x) in enumerate(s.preparations):
+        xi = s.x_strings.index(x)
+        for y in range(3):
+            b = s.targets[p, y]
+            assert s.success_mask[a, b, xi, y] == 1.0
+            assert s.success_mask[a, 1 - b, xi, y] == 0.0
 
 
 def test_parity_sides_balanced():
     for n in (3, 4, 5):
         s = Scenario(n)
-        for r in s.constraint_strings:
-            sides = [s.parity_side(r, a, x) for a, x in s.preparations]
+        signs = s.parity_signs(s.constraint_strings)
+        for r, row in zip(s.constraint_strings, signs):
+            # The side of (a, x) is the parity of r . t(a, x).
+            sides = [sum(ri * ti for ri, ti in zip(r, t)) % 2 for t in s.targets]
+            assert list(row) == [1.0 if side == 0 else -1.0 for side in sides]
             assert sides.count(0) == sides.count(1)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_game_arrays_match_their_definition(n):
+    s = Scenario(n)
+    expected = [(a,) + tuple(bit ^ a for bit in x) for a, x in s.preparations]
+    assert s.targets.shape == (2 ** n, n)
+    assert [tuple(t) for t in s.targets] == expected
+    assert s.weight == 1.0 / (n * 2 ** (n - 1))
+    assert s.success_mask.flags["C_CONTIGUOUS"]
+    assert s.success_mask.shape == (2, 2, 2 ** (n - 1), n)
+    signs = s.parity_signs(s.constraint_strings)
+    assert signs.shape == (len(s.constraint_strings), 2 ** n)
+    assert np.all(signs.sum(axis=1) == 0)
 
 
 def test_classical_bound_oracle():
@@ -125,10 +145,11 @@ def _constrained_model_vertex(n, rng):
     for r in itertools.product((0, 1), repeat=n):
         if sum(r) < 2:
             continue
+        (signs,) = s.parity_signs([r])
         for li in range(n_l):
             row = np.zeros(n_p * n_l)
-            for pi, (a, x) in enumerate(preps):
-                row[pi * n_l + li] = 1.0 if s.parity_side(r, a, x) == 0 else -1.0
+            for pi in range(n_p):
+                row[pi * n_l + li] = signs[pi]
             rows.append(row)
             rhs.append(0.0)
     res = linprog(
@@ -185,11 +206,10 @@ def test_optimize_ensemble_parity_residuals():
     _, bob = sample_random_povm_set(rng, 3)
     res = optimize_ensemble(s, bob)
     assert res.status == "Optimal"
-    r = s.constraint_strings[0]
+    (signs,) = s.parity_signs(s.constraint_strings[:1])
     acc = np.zeros((2, 2), dtype=complex)
-    for pi, (a, x) in enumerate(s.preparations):
-        sign = 1.0 if s.parity_side(r, a, x) == 0 else -1.0
-        acc += sign * res.states[pi].entries
+    for sign, state in zip(signs, res.states):
+        acc += sign * state.entries
     assert np.linalg.norm(acc) < 1e-7
 
 
