@@ -7,7 +7,7 @@ is an independent pure function of its seed; records come back in sample
 order no matter how many worker processes execute them, and rerunning any
 configuration reproduces the records exactly (wall-time fields aside). The
 conjecture scan hands its samples to workers in fixed chunks of consecutive
-indices (conj1_chunk) and solves each chunk's ensemble programs in one
+indices (CONJ1_CHUNK) and solves each chunk's ensemble programs in one
 batched IPM run and the JM programs of its post-selected samples in
 another; a batched instance is bit for bit its solve alone.
 """
@@ -368,15 +368,11 @@ def _batched(solve, check, items: list) -> list:
     return results
 
 
-def conj1_chunk(n: int) -> int:
-    """conj1 samples per chunk at n settings; a chunk makes one batched
-    ensemble solve and one batched JM solve. Chunks are runs of consecutive
-    sample indices whatever the worker count, so records do not depend on
-    --threads; each sample's solve is bit for bit its solve alone. A batch
-    holds per-instance scaled rows and QR factors, so from n = 5 on a chunk
-    of 16 costs a worker twice the memory of a chunk of 4 (ru_maxrss 298
-    against 143 MB at n = 7) and runs no faster."""
-    return 16 if n <= 4 else 4
+# conj1 samples per chunk; a chunk makes one batched ensemble solve and one
+# batched JM solve. Chunks are runs of consecutive sample indices whatever
+# the worker count, so records do not depend on --threads; each sample's
+# solve is bit for bit its solve alone.
+CONJ1_CHUNK = 16
 
 
 def _conjecture1_chunk(args) -> list:
@@ -494,7 +490,7 @@ def run_conjecture1(config: ExperimentConfig):
     """Sample random measurement sets, locate witness violations, and
     certify joint measurability at the derived visibility and just above.
 
-    Samples go in chunks of conj1_chunk(n) consecutive indices, and worker
+    Samples go in chunks of CONJ1_CHUNK consecutive indices, and worker
     processes take whole chunks. A chunk's ensemble programs are solved in
     one batched optimize_ensemble call, and the JM programs of its
     post-selected samples in one batched jm_critical_visibility call, each
@@ -511,10 +507,9 @@ def run_conjecture1(config: ExperimentConfig):
     start = time.perf_counter()
     n = config.n
     seeds = [(i, sample_seed(config.seed, i)) for i in range(config.samples)]
-    chunk = conj1_chunk(n)
     tasks = [
-        (seeds[i : i + chunk], n, config.gap_tol, config.feas_tol)
-        for i in range(0, len(seeds), chunk)
+        (seeds[i : i + CONJ1_CHUNK], n, config.gap_tol, config.feas_tol)
+        for i in range(0, len(seeds), CONJ1_CHUNK)
     ]
     records = [
         rec for chunk in _run_tasks(_conjecture1_chunk, tasks, config.threads)

@@ -48,10 +48,23 @@ and the Newton directions, step lengths and stopping quantities are the same
 linear-algebra objects written in other coordinates (the dual residual
 weighs Lorentz coordinates by 1/2 to give the Frobenius norm). In exact
 arithmetic the iterates are therefore those of the all-Hermitian method.
-Numerically the Schur complement A H A^T is factored as R^T R through a QR
-factorization of the scaled rows A W^T instead of a Cholesky factorization
-of the assembled product, so its conditioning is not squared near a
-degenerate optimum.
+
+Each Newton step takes one of two forms, chosen from the shape of the
+reduced program alone: m independent rows over N cone coordinates leave
+p = N - m of them free.
+
+- Range form, p >= m: the Schur complement A H A^T is factored as R^T R
+  through a QR factorization of the N x m scaled rows W A^T, and triangular
+  solves with R, with up to two refinement passes, give the step.
+- Null-space form, p < m: one complete QR factorization of A^T at build
+  time gives an orthonormal basis F of null(A) and the pseudo-inverses of A
+  and A^T. Each step factors the N x p matrix W^-T F instead, and A dx = rp
+  holds through the build-time factors, with no triangular solve and no
+  refinement pass (Lofberg, Dualize it, Optim. Methods Softw. 24, 2009; the
+  CVXOPT cone solvers take the same choice).
+
+Either way the scaled rows are factored, not an assembled product, so the
+conditioning is not squared near a degenerate optimum.
 
 PreparedSdp maximizes one objective (solve_with) or a batch of k
 objectives side by side (solve_batch), over one program or, pairing
@@ -68,11 +81,13 @@ best iterate, status, iteration count, stall count, corrector fallback and
 backtracking. An instance that converges or fails (non-finite iterate, a
 block that cannot be scaled, a singular R, a collapsed step) leaves the
 batch, and the rest go on. The Schur step is a QR factorization of each
-instance's scaled rows and LAPACK triangular solves with its R. Every
-product with one instance's data is a BLAS or LAPACK call of its own, on
-operands whose memory order does not depend on the batch, so an instance's
-result is bit for bit the same whatever else is in its batch and whether
-its program is shared or one of a stack; solve_with is a batch of one.
+instance's scaled rows, then LAPACK triangular solves with its R in the
+range form, or products with its program's build-time factors in the
+null-space form. Every product with one instance's data is a BLAS or LAPACK
+call of its own, on operands whose memory order does not depend on the
+batch, so an instance's result is bit for bit the same whatever else is in
+its batch and whether its program is shared or one of a stack; solve_with
+is a batch of one.
 
 Everything that depends only on a dimension is built once, on first use, and
 cached read-only: the gather/scatter offsets and scale vectors behind hvec and
@@ -291,17 +306,25 @@ def _steps_from_min_eig(lam_min: np.ndarray) -> np.ndarray:
 class _OrthantScaling:
     """NT scaling of 1x1 blocks: W = sqrt(x / z) acting entrywise."""
 
-    __slots__ = ("wt", "lam", "_w")
+    __slots__ = ("wt", "winv", "lam", "_w", "_w_inv")
 
-    def __init__(self, x: np.ndarray, z: np.ndarray) -> None:
+    def __init__(self, x: np.ndarray, z: np.ndarray, inverse: bool = False) -> None:
         self._w = np.sqrt(x / z)
         self.lam = np.sqrt(x * z)
         self.wt = self._w[:, :, None]
+        if inverse:
+            self._w_inv = 1.0 / self._w
+            self.winv = self._w_inv[:, :, None]
 
     def w(self, v: np.ndarray) -> np.ndarray:
         return self._w * v
 
     w_t = w
+
+    def w_inv(self, v: np.ndarray) -> np.ndarray:
+        return self._w_inv * v
+
+    w_inv_t = w_inv
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         return r / self.lam
@@ -327,12 +350,13 @@ class _LorentzScaling:
     sqrt(2 (w_bar_0 + 1)) and eta = (det x / det z)^(1/4), satisfies
     W z = W^-1 x = lam, and W W = sqrt(det x / det z) (2 w_bar w_bar^T - J)
     is the Schur kernel H with H z = x (Vandenberghe, The CVXOPT linear and
-    quadratic cone program solvers, 2010).
+    quadratic cone program solvers, 2010). Since v^T J v = 1, the inverse is
+    W^-1 = (2 J v (J v)^T - J) / eta, symmetric too.
     """
 
-    __slots__ = ("wt", "lam", "_det_lam", "_u", "_inv_l1", "_inv_l2")
+    __slots__ = ("wt", "winv", "lam", "_det_lam", "_u", "_inv_l1", "_inv_l2")
 
-    def __init__(self, x: np.ndarray, z: np.ndarray) -> None:
+    def __init__(self, x: np.ndarray, z: np.ndarray, inverse: bool = False) -> None:
         x_lo, x_hi = _soc_bounds(x)
         z_lo, z_hi = _soc_bounds(z)
         det_x = x_lo * x_hi
@@ -345,6 +369,11 @@ class _LorentzScaling:
         v /= np.sqrt(2.0 * v[:, :1])
         eta = np.sqrt(np.sqrt(det_x / det_z))
         self.wt = eta[:, None, None] * (2.0 * v[:, :, None] * v[:, None, :] - _SOC_J)
+        if inverse:
+            jv = _SOC_SIGN * v
+            self.winv = (1.0 / eta)[:, None, None] * (
+                2.0 * jv[:, :, None] * jv[:, None, :] - _SOC_J
+            )
         # lam = W z in closed form, which keeps lam_0 free of cancellation
         # on blocks at the edge of the cone; det lam = eta^2 det z exactly.
         det_lam = np.sqrt(det_x * det_z)
@@ -374,6 +403,11 @@ class _LorentzScaling:
         return _matvec(self.wt, v)
 
     w_t = w
+
+    def w_inv(self, v: np.ndarray) -> np.ndarray:
+        return _matvec(self.winv, v)
+
+    w_inv_t = w_inv
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         """g with lam o g = r: the inverse of lam's arrow matrix."""
@@ -405,11 +439,18 @@ class _LorentzScaling:
 class _HermitianScaling:
     """NT scaling of d x d Hermitian blocks, d >= 3, in hvec coordinates:
     R R^H Z R R^H = X with the common scaled spectrum sig of X and Z.
-    W maps U to R^H U R, W^T maps G back to R G R^H, and lam is diag(sig)."""
+    W maps U to R^H U R, W^T maps G back to R G R^H, and lam is diag(sig);
+    their inverses go through R^-1 = diag(sqrt(sig)) V^H L_x^-1."""
 
-    __slots__ = ("wt", "lam", "bad", "_dim", "_r", "_sig")
+    __slots__ = ("wt", "winv", "lam", "bad", "_dim", "_r", "_r_inv", "_sig")
 
-    def __init__(self, group: "_HermitianGroup", x: np.ndarray, z: np.ndarray) -> None:
+    def __init__(
+        self,
+        group: "_HermitianGroup",
+        x: np.ndarray,
+        z: np.ndarray,
+        inverse: bool = False,
+    ) -> None:
         d = group.dim
         lx = np.linalg.cholesky(unhvec(x, d))
         lz = np.linalg.cholesky(unhvec(z, d))
@@ -423,6 +464,16 @@ class _HermitianScaling:
             # transposed. Each entry is its own product, whatever the batch.
             r_h = r.conj().transpose(0, 2, 1)
             self.wt = hvec(r_h[:, None] @ hermitian_basis(d) @ r[:, None])
+            if inverse:
+                # Row k of winv is hvec(R^-1 B_k R^-H) = W^-T B_k: the
+                # matrix of W^-1.
+                r_inv = np.sqrt(s)[:, :, None] * (vh @ np.linalg.inv(lx))
+                self._r_inv = r_inv
+                self.winv = hvec(
+                    r_inv[:, None]
+                    @ hermitian_basis(d)
+                    @ r_inv.conj().transpose(0, 2, 1)[:, None]
+                )
         self.lam = np.zeros_like(x)
         self.lam[:, :d] = s
         self._dim = d
@@ -438,6 +489,12 @@ class _HermitianScaling:
 
     def w_t(self, v: np.ndarray) -> np.ndarray:
         return self._congruence(self._r, v)
+
+    def w_inv(self, v: np.ndarray) -> np.ndarray:
+        return self._congruence(self._r_inv.conj().transpose(0, 2, 1), v)
+
+    def w_inv_t(self, v: np.ndarray) -> np.ndarray:
+        return self._congruence(self._r_inv, v)
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         s = self._sig
@@ -470,13 +527,16 @@ class _Group:
     flags in ``bad`` the blocks it could not scale. It applies W and W^T
     (``w``, ``w_t``), solves lam o g = r (``solve``) and gives, per block,
     the least eigenvalue of a scaled direction in lam's frame
-    (``least_eig``), which bounds the step.
-    ``a_blocks`` holds the group's columns of the reduced constraint
-    matrices, shape (k, n, m, d^2) for a stack of k programs, once the
-    program is built.
+    (``least_eig``), which bounds the step. Built with ``inverse``, for
+    the null-space form, it also holds ``winv``, the matrices of W^-1, and
+    applies W^-1 and W^-T (``w_inv``, ``w_inv_t``).
+    ``row_blocks`` holds the group's columns of the rows that each Newton
+    step scales and factors, shape (k, n, r, d^2) for a stack of k
+    programs, once the program is built: the r = m reduced constraint rows
+    A in the range form, the r = p rows of F^T in the null-space form.
     """
 
-    __slots__ = ("dim", "blocks", "col_start", "col_stop", "a_blocks")
+    __slots__ = ("dim", "blocks", "col_start", "col_stop", "row_blocks")
 
     def __init__(self, dim: int, blocks: list[int], col_start: int) -> None:
         self.dim = dim
@@ -514,8 +574,10 @@ class _OrthantGroup(_Group):
 
     x0 = z0 = _read_only(np.ones(1))
 
-    def nt(self, x: np.ndarray, z: np.ndarray) -> _OrthantScaling:
-        return _OrthantScaling(x, z)
+    def nt(
+        self, x: np.ndarray, z: np.ndarray, inverse: bool = False
+    ) -> _OrthantScaling:
+        return _OrthantScaling(x, z, inverse)
 
     @staticmethod
     def jordan(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -547,8 +609,10 @@ class _LorentzGroup(_Group):
     # |Z|_F^2 = |z|^2 / 2 in dual cone coordinates.
     dual_weight = 0.5
 
-    def nt(self, x: np.ndarray, z: np.ndarray) -> _LorentzScaling:
-        return _LorentzScaling(x, z)
+    def nt(
+        self, x: np.ndarray, z: np.ndarray, inverse: bool = False
+    ) -> _LorentzScaling:
+        return _LorentzScaling(x, z, inverse)
 
     @staticmethod
     def jordan(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -571,8 +635,10 @@ class _HermitianGroup(_Group):
         super().__init__(dim, blocks, col_start)
         self.x0 = self.z0 = hvec(np.eye(dim))
 
-    def nt(self, x: np.ndarray, z: np.ndarray) -> _HermitianScaling:
-        return _HermitianScaling(self, x, z)
+    def nt(
+        self, x: np.ndarray, z: np.ndarray, inverse: bool = False
+    ) -> _HermitianScaling:
+        return _HermitianScaling(self, x, z, inverse)
 
     def jordan(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         um = unhvec(u, self.dim)
@@ -665,27 +731,51 @@ def _independent_rows(a_mat: np.ndarray, b: np.ndarray):
     return keep, None
 
 
+def _null_space_form(m: int, n_cols: int) -> bool:
+    """Whether a program of m independent rows over n_cols coordinates
+    takes the null-space Newton form: fewer free coordinates than rows."""
+    return n_cols - m < m
+
+
+def _null_space(a: np.ndarray):
+    """F, an orthonormal basis of null(A) as columns, and the
+    pseudo-inverses A^+ = A^T (A A^T)^-1 and (A^T)^+ = (A A^T)^-1 A of a
+    full-row-rank (m, N) matrix, all from one complete QR factorization
+    A^T = [Q_1 F] [R_1; 0]: (A^T)^+ = R_1^-1 Q_1^T."""
+    m = len(a)
+    q, r = scipy.linalg.qr(a.T)
+    at_pinv = scipy.linalg.solve_triangular(r[:m], q[:, :m].T)
+    return q[:, m:], np.ascontiguousarray(at_pinv.T), at_pinv
+
+
+_PROGRAM_SLOTS = ("a", "row_blocks", "a_pinv", "at_pinv")
+
+
 class _Active:
     """IPM state of the instances still iterating, one row per instance:
-    its position in the batch, program (the constraint rows ``a`` and each
-    group's ``a_blocks``), objective, iterate, residuals, complementarity
-    mu, stall count and best iterate so far (x, its (int_p, int_d, pinf,
-    dinf), score). The program arrays of a stack of one hold one row, which
-    every instance shares: keep slices them only when they hold a row per
-    instance."""
+    its position in the batch, program (the constraint rows ``a``, each
+    group's ``row_blocks`` and, in the null-space form, the pseudo-inverses
+    ``a_pinv`` of A and ``at_pinv`` of A^T; None in the range form),
+    objective, iterate, residuals, complementarity mu, stall count and best
+    iterate so far (x, its (int_p, int_d, pinf, dinf), score). The program
+    arrays of a stack of one hold one row, which every instance shares: keep
+    slices them only when they hold a row per instance."""
 
     __slots__ = (
         "index", "c", "dinf_scale", "x", "z", "y", "rp", "rd", "rp_tol", "mu",
-        "stall", "best_x", "best_stats", "best_score", "a", "a_blocks",
-    )
+        "stall", "best_x", "best_stats", "best_score",
+    ) + _PROGRAM_SLOTS
 
     def keep(self, rows: np.ndarray) -> None:
         for name in self.__slots__:
-            if name not in ("a", "a_blocks"):
+            if name not in _PROGRAM_SLOTS:
                 setattr(self, name, getattr(self, name)[rows])
         if len(self.a) == len(rows):
             self.a = self.a[rows]
-            self.a_blocks = [blocks[rows] for blocks in self.a_blocks]
+            self.row_blocks = [blocks[rows] for blocks in self.row_blocks]
+            if self.a_pinv is not None:
+                self.a_pinv = self.a_pinv[rows]
+                self.at_pinv = self.at_pinv[rows]
 
 
 class PreparedSdp:
@@ -760,7 +850,22 @@ class PreparedSdp:
             shape = (k, self.m, len(g.blocks), g.dim * g.dim)
             a3 = g.dual_coords(self.a_red[:, :, cols].reshape(shape))
             self.a_red[:, :, cols] = a3.reshape(self.a_red[:, :, cols].shape)
-            g.a_blocks = np.ascontiguousarray(a3.transpose(0, 2, 1, 3))
+            g.row_blocks = np.ascontiguousarray(a3.transpose(0, 2, 1, 3))
+
+        # The Newton form follows from the shape alone: with p = n_cols - m
+        # free coordinates against m rows, the null-space form factors
+        # N x p matrices per step where the range form factors N x m ones.
+        self.null_form = _null_space_form(self.m, self.n_cols)
+        self._a_pinv = self._at_pinv = None
+        if self.null_form:
+            null, self._a_pinv, self._at_pinv = (
+                np.array(parts) for parts in zip(*map(_null_space, self.a_red))
+            )
+            p = self.n_cols - self.m
+            for g in self.groups:
+                shape = (k, len(g.blocks), g.dim * g.dim, p)
+                f3 = null[:, g.col_start : g.col_stop].reshape(shape)
+                g.row_blocks = np.ascontiguousarray(f3.transpose(0, 1, 3, 2))
         self._x_start = self._concat(lambda g: g.x0)
         self._z_start = self._concat(lambda g: g.z0)
         self._dual_weight = self._concat(lambda g: np.full(g.dim * g.dim, g.dual_weight))
@@ -859,7 +964,11 @@ class PreparedSdp:
         # A program of one stays one row that every instance shares.
         programs = slice(None) if n_programs == 1 else live
         st.a = self.a_red[programs]
-        st.a_blocks = [g.a_blocks[programs] for g in self.groups]
+        st.row_blocks = [g.row_blocks[programs] for g in self.groups]
+        st.a_pinv = st.at_pinv = None
+        if self.null_form:
+            st.a_pinv = self._a_pinv[programs]
+            st.at_pinv = self._at_pinv[programs]
         st.c = self._cone_objectives(objectives[live])
         st.dinf_scale = 1.0 + np.sqrt(_rowdot(st.c, weight * st.c))
         st.x = np.tile(self._x_start, (k_live, 1))
@@ -945,7 +1054,10 @@ class PreparedSdp:
             # again without it.
             while True:
                 k = len(st.x)
-                scal = [g.nt(g.seg(st.x), g.seg(st.z)) for g in self.groups]
+                scal = [
+                    g.nt(g.seg(st.x), g.seg(st.z), self.null_form)
+                    for g in self.groups
+                ]
                 bad = [
                     s.bad.reshape(k, -1).any(axis=1)
                     for s in scal
@@ -955,13 +1067,14 @@ class PreparedSdp:
                 message = "iterate left the positive cone"
                 if not failed:
                     # The Newton system reduces to the Schur complement
-                    # A H A^T with H = W^T W. It is factored as R^T R from a
-                    # QR factorization of the scaled rows A W^T: forming H
-                    # or the Schur complement itself would square the
-                    # conditioning of blocks near the boundary, and near a
-                    # degenerate optimum that leaves a primal residual the
-                    # refinement cannot remove.
-                    fac, failed = self._factor_scaled_rows(st.a_blocks, scal, k)
+                    # A H A^T with H = W^T W, or in the null-space form to
+                    # F^T H^-1 F. Either is factored as R^T R from a QR
+                    # factorization of its scaled rows, A W^T or F^T W^-1:
+                    # forming H or the Schur complement itself would square
+                    # the conditioning of blocks near the boundary, and near
+                    # a degenerate optimum that leaves a primal residual the
+                    # steps cannot remove.
+                    fac, failed = self._factor_scaled_rows(st.row_blocks, scal, k)
                     message = "Schur complement factorization failed"
                 if not failed:
                     break
@@ -972,15 +1085,12 @@ class PreparedSdp:
             if len(st.x) == 0:
                 break
 
-            x, z, y, rp, rd = st.x, st.z, st.y, st.rp, st.rd
-            rp_tol, mu = st.rp_tol, st.mu
-            w_rd = self._scaled(k, scal, "w", rd)
+            x, z, y, mu = st.x, st.z, st.y, st.mu
+            w_rd = self._scaled(k, scal, "w", st.rd)
             lam = self._per_group(k, lambda gi, g: scal[gi].lam)
 
             # Predictor: aim straight at the boundary.
-            dx_a, _, dz_a, dxs_a, dzs_a = self._newton(
-                st.a, rp, rd, rp_tol, -lam, scal, w_rd, fac
-            )
+            dx_a, _, dz_a, dxs_a, dzs_a = self._newton(st, -lam, scal, w_rd, fac)
             ap_aff, ad_aff = np.minimum(1.0, self._max_steps(k, scal, dxs_a, dzs_a))
             mu_aff = _rowdot(x + ap_aff[:, None] * dx_a, z + ad_aff[:, None] * dz_a) / k_total
             sigma_mu = np.array(
@@ -1004,9 +1114,7 @@ class PreparedSdp:
                     return s.solve(r)
 
                 gt = self._per_group(k, rhs)
-                dx, dy, dz, dxs, dzs = self._newton(
-                    st.a, rp, rd, rp_tol, gt, scal, w_rd, fac
-                )
+                dx, dy, dz, dxs, dzs = self._newton(st, gt, scal, w_rd, fac)
                 steps = self._max_steps(k, scal, dxs, dzs)
                 ap, ad = np.minimum(1.0, _STEP_FRACTION * steps)
                 return dx, dy, dz, ap, ad
@@ -1074,18 +1182,21 @@ class PreparedSdp:
 
     # -- numerical pieces -------------------------------------------------
 
-    def _factor_scaled_rows(self, a_blocks, scal, k: int):
-        """Q and R of (A W^T)^T = Q R per instance, given each group's
-        constraint columns a_blocks, and the list of the instances whose R is
-        singular (when not empty, no factors)."""
-        m = self.m
-        if m == 0:
+    def _factor_scaled_rows(self, row_blocks, scal, k: int):
+        """Q and R of each instance's scaled rows, transposed, given each
+        group's row_blocks, and the list of the instances whose R is
+        singular (when not empty, no factors). The range form factors
+        (A W^T)^T = W A^T, N x m; the null-space form, taken when
+        p = N - m < m, factors W^-T F, N x p."""
+        r_rows = self.n_cols - self.m if self.null_form else self.m
+        if r_rows == 0:
             return (np.zeros((k, self.n_cols, 0)), np.zeros((k, 0, 0))), []
         parts = []
-        for g, blocks, s in zip(self.groups, a_blocks, scal):
+        for g, blocks, s in zip(self.groups, row_blocks, scal):
             d2 = g.dim * g.dim
-            rows = np.matmul(blocks, s.wt.reshape(k, len(g.blocks), d2, d2))
-            parts.append(rows.transpose(0, 1, 3, 2).reshape(k, -1, m))
+            scale = s.winv if self.null_form else s.wt
+            rows = np.matmul(blocks, scale.reshape(k, len(g.blocks), d2, d2))
+            parts.append(rows.transpose(0, 1, 3, 2).reshape(k, -1, r_rows))
         q, r = _qr(parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1))
         diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
         if not ((diag > 1e-300).all() and np.isfinite(r).all()):
@@ -1094,29 +1205,49 @@ class PreparedSdp:
         return (q, r), []
 
     def _scaled(self, k: int, scal, op: str, vecs: np.ndarray) -> np.ndarray:
-        """Apply each group's W (op "w") or W^T (op "w_t") to instance rows."""
+        """Apply each group's W (op "w"), W^T ("w_t"), W^-1 ("w_inv") or
+        W^-T ("w_inv_t") to instance rows."""
         return self._per_group(k, lambda gi, g: getattr(scal[gi], op)(g.seg(vecs)))
 
-    def _newton(self, a, rp, rd, rp_tol, gt, scal, w_rd, fac):
+    def _newton(self, st: _Active, gt, scal, w_rd, fac):
         """Solve the scaled Newton system
 
             A dx = rp,   A^T dy + dz = rd,   W^-T dx + W dz = gt
 
-        per instance row for (dx, dy, dz), with A the instance's rows in
-        ``a``, given the complementarity right-hand side gt in the scaled
-        frame, and return the scaled directions W^-T dx and W dz too.
+        per instance row for (dx, dy, dz), with A, rp and rd each active
+        instance's rows and residuals in ``st``, given the complementarity
+        right-hand side gt in the scaled frame and W rd, and return the
+        scaled directions W^-T dx and W dz too. fac holds the factors of
+        _factor_scaled_rows, whose form the shape of the program picks.
 
-        With Q R = (A W^T)^T, the scaled primal direction is
-        gt - W rd + Q R dy. Starting from dy = 0, each pass solves
+        Range form (p >= m), with Q R = W A^T: the scaled primal direction
+        is gt - W rd + Q R dy. Starting from dy = 0, each pass solves
         R^T t = rp - A dx and adds Q t to the scaled direction, so A dx = rp
         holds to the accuracy of Q rather than of the Schur complement; dy
         is R^-1 times the sum of the t. The first pass is the solve; two
-        more refine it.
-        An instance stops refining once its squared residual is at most
-        rp_tol. The dual residual equation holds by construction.
+        more refine it. An instance stops refining once its squared
+        residual is at most rp_tol. The dual residual equation holds by
+        construction.
+
+        Null-space form (p < m), with Q R = W^-T F: dx is A^+ rp plus a
+        step F u along the null space of A, so A dx = rp holds through the
+        build-time factorization, without a triangular solve or a
+        refinement pass. The dual equations ask F^T dz = F^T rd, which makes
+        the scaled primal direction W^-T A^+ rp + Q Q^T h, with
+        h = gt - W^-T A^+ rp - W rd; then dz = W^-1 (gt - W^-T dx) and
+        dy = (A^T)^+ (rd - dz).
         """
         q, r = fac
-        k = len(rp)
+        k = len(st.rp)
+        if self.null_form:
+            dxs_p = self._scaled(k, scal, "w_inv_t", _matvec(st.a_pinv, st.rp))
+            h = gt - dxs_p - w_rd
+            dxs = dxs_p + _matvec(q, _matvec(np.swapaxes(q, 1, 2), h))
+            dzs = gt - dxs
+            dz = self._scaled(k, scal, "w_inv", dzs)
+            dy = _matvec(st.at_pinv, st.rd - dz)
+            return self._scaled(k, scal, "w_t", dxs), dy, dz, dxs, dzs
+        a, rp, rd, rp_tol = st.a, st.rp, st.rd, st.rp_tol
         # One LAPACK triangular solve per instance: a batch of one costs what
         # a solver for one objective does, and at the batch sizes of a
         # see-saw probe the loop costs a few percent of an iteration.

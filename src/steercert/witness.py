@@ -480,6 +480,8 @@ def seesaw_critical_visibility(
         raise ValueError("supported range is 2 <= n <= 7")
     if restarts is None:
         restarts = 20 if n <= 4 else 50
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
     if rng is None:
         rng = np.random.default_rng(0)
     scenario, prepared, select = _alice_program(n)

@@ -166,7 +166,7 @@ def test_conjecture1_chunks_match_per_sample_solves(n):
     """Two full chunks and a partial one, in one process and in three: every
     record is the one that a batch-of-one ensemble solve of its seed and,
     when post-selected, a batch-of-one JM solve of its probe set give."""
-    samples = 2 * harness.conj1_chunk(n) + 3
+    samples = 2 * harness.CONJ1_CHUNK + 3
     expected = []
     for i in range(samples):
         seed = sample_seed(11, i)
@@ -204,7 +204,7 @@ def test_conjecture1_error_stays_with_its_sample(monkeypatch, fault, error):
     set costs the others no second solve; a batch that raises is solved set
     by set. Either way only the bad sample gets an error record."""
     cfg = ExperimentConfig(
-        experiment="conjecture1", n=3, samples=harness.conj1_chunk(3) + 2, seed=4
+        experiment="conjecture1", n=3, samples=harness.CONJ1_CHUNK + 2, seed=4
     )
     _, clean = run_conjecture1(cfg)
     assert clean[6].post_selected and not clean[5].post_selected
@@ -268,7 +268,7 @@ def test_conjecture1_error_stays_with_its_sample(monkeypatch, fault, error):
 def test_conjecture1_wall_time_is_a_share_of_its_chunk():
     """Every record of a chunk gets an equal share of the ensemble stage,
     and a post-selected record an equal share of the JM stage on top."""
-    chunk = harness.conj1_chunk(3)
+    chunk = harness.CONJ1_CHUNK
     cfg = ExperimentConfig(experiment="conjecture1", n=3, samples=chunk + 2, seed=4)
     _, records = run_conjecture1(cfg)
     first = records[:chunk]

@@ -21,6 +21,7 @@ from steercert.sdp import (
     solve,
     unhvec,
 )
+from steercert.tolerances import DEFAULT_GAP_TOL
 
 from randsdp import random_feasible_problem, random_hermitian
 
@@ -781,53 +782,197 @@ def _solution_key(sol):
     )
 
 
-def _batch_program(name):
-    from steercert import witness
+def _certify_programs(run):
+    """The arguments of every PreparedSdp that certify builds in run()."""
+    from steercert import certify
 
+    built = []
+
+    class Recording(PreparedSdp):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(certify, "PreparedSdp", Recording)
+        run()
+    return built
+
+
+def _unbiased_sets(n, count, seed):
+    """Sharp measurement sets of n settings on random axes."""
+    from steercert.quantum import MeasurementSet, sharp_povm
+
+    rng = np.random.default_rng(seed)
+    return [
+        MeasurementSet([sharp_povm(axis) for axis in rng.normal(size=(n, 3))])
+        for _ in range(count)
+    ]
+
+
+def _batch_program(name):
+    """The program of a batch case, and a function that prepares the
+    programs of the instances at some indices: the shared program itself,
+    or that sub-stack of a stack of six."""
+    from steercert import certify, witness
+
+    if name == "jm_half2":
+        sets = _unbiased_sets(2, 6, 41)
+        ((dims, a, b),) = _certify_programs(lambda: certify.jm_critical_visibility(sets))
+        return PreparedSdp(dims, a, b), lambda idx: PreparedSdp(dims, a[list(idx)], b)
     if name == "alice2":
-        return witness._alice_program(2)[1]
-    if name == "alice3":
-        return witness._alice_program(3)[1]
-    if name.startswith("ensemble"):
-        return witness._ensemble_program(int(name[-1]))
-    _RecordingBuilder.built = []
-    return _mixed_builder().prepared()
+        prep = witness._alice_program(2)[1]
+    elif name == "alice3":
+        prep = witness._alice_program(3)[1]
+    elif name.startswith("ensemble"):
+        prep = witness._ensemble_program(int(name[-1]))
+    else:
+        _RecordingBuilder.built = []
+        prep = _mixed_builder().prepared()
+    return prep, lambda idx: prep
+
+
+# The batch cases whose programs take the null-space Newton form.
+_NULL_FORM_CASES = {"alice3", "ensemble3", "ensemble4", "mixed", "jm_half2"}
 
 
 @pytest.mark.parametrize(
-    "name", ["alice2", "alice3", "ensemble3", "ensemble4", "mixed"]
+    "name", ["alice2", "alice3", "ensemble3", "ensemble4", "mixed", "jm_half2"]
 )
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_batch_instances_match_their_batch_of_one(name):
     """Each instance of a batch is bit for bit its own batch of one,
-    whatever else the batch holds and in whatever order. The mixed program
-    is unbounded for most objectives, so its instances also stop on
-    NumericalFailure and MaxIterations, at different iterations."""
-    prep = _batch_program(name)
+    whatever else the batch holds and in whatever order, in both Newton
+    forms, over a shared program and over a stack of six JM programs. The
+    mixed program is unbounded for most objectives, so its instances also
+    stop on NumericalFailure and MaxIterations, at different iterations."""
+    prep, programs = _batch_program(name)
+    assert prep.null_form == (name in _NULL_FORM_CASES)
     rng = np.random.default_rng(len(name))
     objectives = rng.normal(size=(6, prep.n_cols))
     for signed in (objectives, -objectives):
-        alone = [_solution_key(prep.solve_with(c)) for c in signed]
+        alone = [_solution_key(programs([i]).solve_with(c)) for i, c in enumerate(signed)]
         assert len({key[2] for key in alone}) > 1
         batch = prep.solve_batch(signed)
         assert [_solution_key(sol) for sol in batch] == alone
-        batch = prep.solve_batch(signed[::-1])[::-1]
+        batch = programs(range(5, -1, -1)).solve_batch(signed[::-1])[::-1]
         assert [_solution_key(sol) for sol in batch] == alone
-        pair = prep.solve_batch(signed[2:4])
+        pair = programs([2, 3]).solve_batch(signed[2:4])
         assert [_solution_key(sol) for sol in pair] == alone[2:4]
     if name == "mixed":
         assert STATUS_NUMERICAL_FAILURE in {key[0] for key in alone}
     # A cap between the fastest and the slowest instance stops some early;
     # alone holds the iterations of the last signed set, so cap that set.
     cap = sorted(key[2] for key in alone)[2]
-    capped = [_solution_key(prep.solve_with(c, max_iter=cap)) for c in signed]
+    capped = [
+        _solution_key(programs([i]).solve_with(c, max_iter=cap))
+        for i, c in enumerate(signed)
+    ]
     assert STATUS_MAX_ITERATIONS in {key[0] for key in capped}
     batch = prep.solve_batch(signed, max_iter=cap)
     assert [_solution_key(sol) for sol in batch] == capped
 
 
+def _solves_in_form(run, force_range: bool) -> list:
+    """(null_form, p, m, solution) of every solve in run(), with the
+    witness programs built afresh; with force_range, every program takes
+    the range form."""
+    from steercert import witness
+
+    solves = []
+    solve_batch = PreparedSdp.solve_batch
+
+    def recording(self, objectives, *args, **kwargs):
+        sols = solve_batch(self, objectives, *args, **kwargs)
+        p = self.n_cols - self.m
+        solves.extend((self.null_form, p, self.m, sol) for sol in sols)
+        return sols
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PreparedSdp, "solve_batch", recording)
+        mp.setattr(witness, "_ensemble_program", witness._ensemble_program.__wrapped__)
+        mp.setattr(witness, "_alice_program", witness._alice_program.__wrapped__)
+        if force_range:
+            mp.setattr(sdp, "_null_space_form", lambda m, n_cols: False)
+        run()
+    return solves
+
+
+def _production_null_form_run(family: str, n: int):
+    """Solves of one production family whose programs have p < m."""
+    from steercert import certify, witness
+    from steercert.quantum import (
+        BlochPovmParams,
+        assemblage_from,
+        noisy_singlet,
+        povm_from_bloch,
+    )
+
+    rng = np.random.default_rng(60 + n)
+    if family in ("ensemble", "jm_full"):
+        draws = [_random_bloch_set(rng, n) for _ in range(6)]
+        sets = [povm_from_bloch(BlochPovmParams(*d)) for d in draws]
+        if family == "jm_full":
+            return lambda: certify.jm_critical_visibility(sets)
+        return lambda: witness.optimize_ensemble(witness.Scenario(n), sets)
+    if family == "alice":
+        n_x = 2 ** (n - 1)
+        raw = [witness._random_sharp_alice(rng, n_x) for _ in range(6)]
+        objectives = hvec(np.array(raw)).reshape(6, -1)
+        return lambda: witness._alice_program(n)[1].solve_batch(objectives)
+    sets = _unbiased_sets(n, 4, 70 + n)
+    if family == "jm_half":
+        return lambda: certify.jm_critical_visibility(sets)
+    return lambda: [
+        certify.lhs_critical_visibility(assemblage_from(noisy_singlet(v), mset))
+        for v, mset in zip((0.55, 0.7, 0.85, 1.0), sets)
+    ]
+
+
+def _random_bloch_set(rng, n):
+    """Axes, sharpness and bias of n random biased measurements."""
+    axes = rng.normal(size=(n, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    eta = rng.uniform(0.0, 1.0, size=n)
+    alpha = rng.uniform(eta, 2.0 - eta)
+    return tuple(map(tuple, axes)), tuple(eta), tuple(alpha)
+
+
+@pytest.mark.parametrize(
+    "family, n",
+    [("ensemble", n) for n in (3, 4, 5)]
+    + [("alice", n) for n in (3, 4, 5)]
+    + [(kind, n) for kind in ("jm_half", "lhs_half") for n in (1, 2, 3)]
+    + [("jm_full", n) for n in (1, 2)],
+)
+def test_null_form_agrees_with_the_range_form(family, n):
+    """Every production program with fewer free coordinates than rows takes
+    the null-space form, and solves as the range form does: the same
+    status, primal and dual values within the gap tolerance."""
+    run = _production_null_form_run(family, n)
+    null = _solves_in_form(run, force_range=False)
+    ranged = _solves_in_form(run, force_range=True)
+    assert null and len(null) == len(ranged)
+    for (form, p, m, sol), (other_form, _, _, other) in zip(null, ranged):
+        assert form and p < m and not other_form
+        assert sol.status == other.status == STATUS_OPTIMAL
+        assert abs(sol.primal_value - other.primal_value) <= DEFAULT_GAP_TOL
+        assert abs(sol.dual_value - other.dual_value) <= DEFAULT_GAP_TOL
+
+
+def test_random_programs_take_both_forms():
+    """The random programs of the acceptance suite's property check cover
+    both Newton forms."""
+    forms = set()
+    for i in range(500):
+        problem = random_feasible_problem(np.random.default_rng(7000 + i))
+        prep = PreparedSdp(problem.dims, *operator_rows(problem.dims, problem.constraints))
+        forms.add(prep.null_form)
+    assert forms == {False, True}
+
+
 def test_batch_input_checks():
-    prep = _batch_program("alice2")
+    prep, _ = _batch_program("alice2")
     assert prep.solve_batch(np.zeros((0, prep.n_cols))) == []
     with pytest.raises(ValueError, match="hvec"):
         prep.solve_batch(np.zeros(prep.n_cols))

@@ -294,6 +294,12 @@ def test_seesaw_rejects_unsupported_n():
         seesaw_critical_visibility(8)
 
 
+@pytest.mark.parametrize("restarts", (0, -3))
+def test_seesaw_rejects_fewer_than_one_restart(restarts):
+    with pytest.raises(ValueError, match="restarts must be at least 1"):
+        seesaw_critical_visibility(2, restarts=restarts)
+
+
 def _fresh_state_after(seed, n, draws):
     """Generator state after ``draws`` random Alice strategies for n settings."""
     rng = np.random.default_rng(seed)
@@ -360,9 +366,9 @@ _PINNED_THRESHOLDS = {
     (2, 1): 0.7071067818390471,
     (2, 2): 0.7071067818390465,
     (2, 3): 0.7071067818390465,
-    (3, 0): 0.577350269214245,
+    (3, 0): 0.5773502692142455,
     (3, 1): 0.5773502692142453,
-    (3, 2): 0.5773502692142455,
+    (3, 2): 0.5773502692142453,
     (3, 3): 0.5773502692142455,
 }
 
