@@ -243,7 +243,8 @@ class SampleRecord:
     error: str | None = None
 
     def to_json(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if v is not None}
+        # vars, not asdict: asdict deep-copies every record's bloch list.
+        return {k: v for k, v in vars(self).items() if v is not None}
 
     @classmethod
     def from_json(cls, data: dict) -> "SampleRecord":

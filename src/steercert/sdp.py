@@ -64,7 +64,10 @@ p = N - m of them free.
   CVXOPT cone solvers take the same choice).
 
 Either way the scaled rows are factored, not an assembled product, so the
-conditioning is not squared near a degenerate optimum.
+conditioning is not squared near a degenerate optimum. In every cone an NT
+scaling is its per-block matrices of W and W^T and, for the null-space
+form, of W^-1 and W^-T: applying one is a matrix-vector product per block,
+and scaling the rows a matrix product per block.
 
 PreparedSdp maximizes one objective (solve_with) or a batch of k
 objectives side by side (solve_batch), over one program or, pairing
@@ -304,27 +307,16 @@ def _steps_from_min_eig(lam_min: np.ndarray) -> np.ndarray:
 
 
 class _OrthantScaling:
-    """NT scaling of 1x1 blocks: W = sqrt(x / z) acting entrywise."""
+    """NT scaling of 1x1 blocks: W = sqrt(x / z), one (1, 1) matrix per block."""
 
-    __slots__ = ("wt", "winv", "lam", "_w", "_w_inv")
+    __slots__ = ("w", "wt", "winv", "winv_t", "lam")
 
     def __init__(self, x: np.ndarray, z: np.ndarray, inverse: bool = False) -> None:
-        self._w = np.sqrt(x / z)
+        w = np.sqrt(x / z)
         self.lam = np.sqrt(x * z)
-        self.wt = self._w[:, :, None]
+        self.w = self.wt = w[:, :, None]
         if inverse:
-            self._w_inv = 1.0 / self._w
-            self.winv = self._w_inv[:, :, None]
-
-    def w(self, v: np.ndarray) -> np.ndarray:
-        return self._w * v
-
-    w_t = w
-
-    def w_inv(self, v: np.ndarray) -> np.ndarray:
-        return self._w_inv * v
-
-    w_inv_t = w_inv
+            self.winv = self.winv_t = (1.0 / w)[:, :, None]
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         return r / self.lam
@@ -351,10 +343,13 @@ class _LorentzScaling:
     W z = W^-1 x = lam, and W W = sqrt(det x / det z) (2 w_bar w_bar^T - J)
     is the Schur kernel H with H z = x (Vandenberghe, The CVXOPT linear and
     quadratic cone program solvers, 2010). Since v^T J v = 1, the inverse is
-    W^-1 = (2 J v (J v)^T - J) / eta, symmetric too.
+    W^-1 = (2 J v (J v)^T - J) / eta, symmetric too, so ``w`` and ``wt`` are
+    one array, as are ``winv`` and ``winv_t``.
     """
 
-    __slots__ = ("wt", "winv", "lam", "_det_lam", "_u", "_inv_l1", "_inv_l2")
+    __slots__ = (
+        "w", "wt", "winv", "winv_t", "lam", "_det_lam", "_u", "_inv_l1", "_inv_l2",
+    )
 
     def __init__(self, x: np.ndarray, z: np.ndarray, inverse: bool = False) -> None:
         x_lo, x_hi = _soc_bounds(x)
@@ -368,10 +363,11 @@ class _LorentzScaling:
         v[:, 0] += 1.0
         v /= np.sqrt(2.0 * v[:, :1])
         eta = np.sqrt(np.sqrt(det_x / det_z))
-        self.wt = eta[:, None, None] * (2.0 * v[:, :, None] * v[:, None, :] - _SOC_J)
+        w = eta[:, None, None] * (2.0 * v[:, :, None] * v[:, None, :] - _SOC_J)
+        self.w = self.wt = w
         if inverse:
             jv = _SOC_SIGN * v
-            self.winv = (1.0 / eta)[:, None, None] * (
+            self.winv = self.winv_t = (1.0 / eta)[:, None, None] * (
                 2.0 * jv[:, :, None] * jv[:, None, :] - _SOC_J
             )
         # lam = W z in closed form, which keeps lam_0 free of cancellation
@@ -398,16 +394,6 @@ class _LorentzScaling:
         self._u = u
         self._inv_l1 = 1.0 / l1
         self._inv_l2 = l1 / det_lam
-
-    def w(self, v: np.ndarray) -> np.ndarray:
-        return _matvec(self.wt, v)
-
-    w_t = w
-
-    def w_inv(self, v: np.ndarray) -> np.ndarray:
-        return _matvec(self.winv, v)
-
-    w_inv_t = w_inv
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         """g with lam o g = r: the inverse of lam's arrow matrix."""
@@ -440,18 +426,14 @@ class _HermitianScaling:
     """NT scaling of d x d Hermitian blocks, d >= 3, in hvec coordinates:
     R R^H Z R R^H = X with the common scaled spectrum sig of X and Z.
     W maps U to R^H U R, W^T maps G back to R G R^H, and lam is diag(sig);
-    their inverses go through R^-1 = diag(sqrt(sig)) V^H L_x^-1."""
+    their inverses go through R^-1 = diag(sqrt(sig)) V^H L_x^-1. ``w`` and
+    ``winv_t`` are C-contiguous copies of the transposes of ``wt`` and
+    ``winv``."""
 
-    __slots__ = ("wt", "winv", "lam", "bad", "_dim", "_r", "_r_inv", "_sig")
+    __slots__ = ("w", "wt", "winv", "winv_t", "lam", "bad", "_dim", "_sig")
 
-    def __init__(
-        self,
-        group: "_HermitianGroup",
-        x: np.ndarray,
-        z: np.ndarray,
-        inverse: bool = False,
-    ) -> None:
-        d = group.dim
+    def __init__(self, x: np.ndarray, z: np.ndarray, inverse: bool = False) -> None:
+        d = math.isqrt(x.shape[1])
         lx = np.linalg.cholesky(unhvec(x, d))
         lz = np.linalg.cholesky(unhvec(z, d))
         prod = lz.conj().transpose(0, 2, 1) @ lx
@@ -464,37 +446,21 @@ class _HermitianScaling:
             # transposed. Each entry is its own product, whatever the batch.
             r_h = r.conj().transpose(0, 2, 1)
             self.wt = hvec(r_h[:, None] @ hermitian_basis(d) @ r[:, None])
+            self.w = np.ascontiguousarray(np.swapaxes(self.wt, 1, 2))
             if inverse:
                 # Row k of winv is hvec(R^-1 B_k R^-H) = W^-T B_k: the
                 # matrix of W^-1.
                 r_inv = np.sqrt(s)[:, :, None] * (vh @ np.linalg.inv(lx))
-                self._r_inv = r_inv
                 self.winv = hvec(
                     r_inv[:, None]
                     @ hermitian_basis(d)
                     @ r_inv.conj().transpose(0, 2, 1)[:, None]
                 )
+                self.winv_t = np.ascontiguousarray(np.swapaxes(self.winv, 1, 2))
         self.lam = np.zeros_like(x)
         self.lam[:, :d] = s
         self._dim = d
-        self._r = r
         self._sig = s
-
-    def _congruence(self, left: np.ndarray, v: np.ndarray) -> np.ndarray:
-        mats = unhvec(v, self._dim)
-        return hvec(left @ mats @ left.conj().transpose(0, 2, 1))
-
-    def w(self, v: np.ndarray) -> np.ndarray:
-        return self._congruence(self._r.conj().transpose(0, 2, 1), v)
-
-    def w_t(self, v: np.ndarray) -> np.ndarray:
-        return self._congruence(self._r, v)
-
-    def w_inv(self, v: np.ndarray) -> np.ndarray:
-        return self._congruence(self._r_inv.conj().transpose(0, 2, 1), v)
-
-    def w_inv_t(self, v: np.ndarray) -> np.ndarray:
-        return self._congruence(self._r_inv, v)
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         s = self._sig
@@ -521,15 +487,16 @@ class _Group:
     vectors, d^2 cone coordinates per block, and offers the same operations
     whatever its cone: the coordinate maps, the NT scaling ``nt(x, z)``,
     the Jordan product ``jordan(u, v)`` and the strict-interior test
-    ``interior(x)``, per block. A scaling holds ``wt``, the (n, d^2, d^2)
-    matrices of W^T, whose product W^T W is the Schur kernel H with H z = x,
-    and the scaled point ``lam`` = W z = W^-T x; a Hermitian scaling also
-    flags in ``bad`` the blocks it could not scale. It applies W and W^T
-    (``w``, ``w_t``), solves lam o g = r (``solve``) and gives, per block,
-    the least eigenvalue of a scaled direction in lam's frame
-    (``least_eig``), which bounds the step. Built with ``inverse``, for
-    the null-space form, it also holds ``winv``, the matrices of W^-1, and
-    applies W^-1 and W^-T (``w_inv``, ``w_inv_t``).
+    ``interior(x)``, per block. A scaling is its matrices, one (d^2, d^2)
+    per block and (n, d^2, d^2) per group: ``w`` of W and ``wt`` of W^T,
+    whose product W^T W is the Schur kernel H with H z = x, and, built with
+    ``inverse`` for the null-space form, ``winv`` of W^-1 and ``winv_t`` of
+    W^-T. PreparedSdp applies any of them with one matrix-vector product
+    per block and scales the Schur rows with ``wt`` or ``winv``. A scaling
+    also holds the scaled point ``lam`` = W z = W^-T x, solves lam o g = r
+    (``solve``) and gives, per block, the least eigenvalue of a scaled
+    direction in lam's frame (``least_eig``), which bounds the step; a
+    Hermitian scaling also flags in ``bad`` the blocks it could not scale.
     ``row_blocks`` holds the group's columns of the rows that each Newton
     step scales and factors, shape (k, n, r, d^2) for a stack of k
     programs, once the program is built: the r = m reduced constraint rows
@@ -558,10 +525,10 @@ class _Group:
         """The blocks of a primal vector in cone coordinates, shape (n, d, d)."""
         return unhvec(x, self.dim)
 
-    # Subclasses set x0 and z0, the cone coordinates of the identity block
-    # on the primal and the dual side: the starting point. z0 is also the
-    # centering direction, since the scaled frame aims at
-    # lam o lam = sigma mu z0.
+    # Subclasses set nt, the class of their scaling, and x0 and z0, the
+    # cone coordinates of the identity block on the primal and the dual
+    # side: the starting point. z0 is also the centering direction, since
+    # the scaled frame aims at lam o lam = sigma mu z0.
 
     # Weight of each coordinate in the Frobenius norm of a dual-side vector.
     dual_weight = 1.0
@@ -574,10 +541,7 @@ class _OrthantGroup(_Group):
 
     x0 = z0 = _read_only(np.ones(1))
 
-    def nt(
-        self, x: np.ndarray, z: np.ndarray, inverse: bool = False
-    ) -> _OrthantScaling:
-        return _OrthantScaling(x, z, inverse)
+    nt = _OrthantScaling
 
     @staticmethod
     def jordan(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -609,10 +573,7 @@ class _LorentzGroup(_Group):
     # |Z|_F^2 = |z|^2 / 2 in dual cone coordinates.
     dual_weight = 0.5
 
-    def nt(
-        self, x: np.ndarray, z: np.ndarray, inverse: bool = False
-    ) -> _LorentzScaling:
-        return _LorentzScaling(x, z, inverse)
+    nt = _LorentzScaling
 
     @staticmethod
     def jordan(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -635,10 +596,7 @@ class _HermitianGroup(_Group):
         super().__init__(dim, blocks, col_start)
         self.x0 = self.z0 = hvec(np.eye(dim))
 
-    def nt(
-        self, x: np.ndarray, z: np.ndarray, inverse: bool = False
-    ) -> _HermitianScaling:
-        return _HermitianScaling(self, x, z, inverse)
+    nt = _HermitianScaling
 
     def jordan(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         um = unhvec(u, self.dim)
@@ -1205,9 +1163,10 @@ class PreparedSdp:
         return (q, r), []
 
     def _scaled(self, k: int, scal, op: str, vecs: np.ndarray) -> np.ndarray:
-        """Apply each group's W (op "w"), W^T ("w_t"), W^-1 ("w_inv") or
-        W^-T ("w_inv_t") to instance rows."""
-        return self._per_group(k, lambda gi, g: getattr(scal[gi], op)(g.seg(vecs)))
+        """Apply each group's W (op "w"), W^T ("wt"), W^-1 ("winv") or W^-T
+        ("winv_t") to instance rows: one product per block."""
+        mats = [getattr(s, op) for s in scal]
+        return self._per_group(k, lambda gi, g: _matvec(mats[gi], g.seg(vecs)))
 
     def _newton(self, st: _Active, gt, scal, w_rd, fac):
         """Solve the scaled Newton system
@@ -1240,20 +1199,20 @@ class PreparedSdp:
         q, r = fac
         k = len(st.rp)
         if self.null_form:
-            dxs_p = self._scaled(k, scal, "w_inv_t", _matvec(st.a_pinv, st.rp))
+            dxs_p = self._scaled(k, scal, "winv_t", _matvec(st.a_pinv, st.rp))
             h = gt - dxs_p - w_rd
             dxs = dxs_p + _matvec(q, _matvec(np.swapaxes(q, 1, 2), h))
             dzs = gt - dxs
-            dz = self._scaled(k, scal, "w_inv", dzs)
+            dz = self._scaled(k, scal, "winv", dzs)
             dy = _matvec(st.at_pinv, st.rd - dz)
-            return self._scaled(k, scal, "w_t", dxs), dy, dz, dxs, dzs
+            return self._scaled(k, scal, "wt", dxs), dy, dz, dxs, dzs
         a, rp, rd, rp_tol = st.a, st.rp, st.rd, st.rp_tol
         # One LAPACK triangular solve per instance: a batch of one costs what
         # a solver for one objective does, and at the batch sizes of a
         # see-saw probe the loop costs a few percent of an iteration.
         trtrs = scipy.linalg.lapack.dtrtrs
         dxs = gt - w_rd
-        dx = self._scaled(k, scal, "w_t", dxs)
+        dx = self._scaled(k, scal, "wt", dxs)
         going = t_sum = None
         for _ in range(3):
             e1 = rp - _matvec(a, dx)
@@ -1275,7 +1234,7 @@ class PreparedSdp:
                     t_sum = np.where(rows, t, 0.0)
                 else:
                     np.add(t_sum, t, out=t_sum, where=rows)
-            dx = self._scaled(k, scal, "w_t", dxs)
+            dx = self._scaled(k, scal, "wt", dxs)
         if t_sum is None:
             dy = np.zeros_like(rp)
         else:

@@ -427,14 +427,15 @@ def test_lorentz_scaling_identities(seed):
     x = _lorentz_primal(_random_pd(rng, 12))
     z = _lorentz_dual(_random_pd(rng, 12))
     s = sdp._LorentzScaling(x, z)
-    w = s.wt  # W is symmetric, so W^T = W
+    w = s.w  # W is symmetric, so W^T = W
+    assert s.wt is w
     assert np.array_equal(w, np.swapaxes(w, 1, 2))
     h = w @ w
     assert _rel(h, _soc_h(x, z)) < 1e-12
     assert _rel(np.einsum("nij,nj->ni", h, z), x) < 1e-12
-    assert _rel(s.w(z), s.lam) < 1e-12
+    assert _rel(sdp._matvec(s.w, z), s.lam) < 1e-12
     assert _rel(np.linalg.solve(w, x[..., None])[..., 0], s.lam) < 1e-12
-    assert _rel(s.w_t(s.lam), x) < 1e-12
+    assert _rel(sdp._matvec(s.wt, s.lam), x) < 1e-12
     # lam o g = r is solved exactly.
     r = rng.normal(size=x.shape)
     g = sdp._LorentzGroup.jordan(s.lam, s.solve(r))
@@ -448,14 +449,21 @@ def test_hermitian_scaling_identities():
     zm = _random_pd(rng, 5, dim=3)
     x, z = hvec(xm), hvec(zm)
     s = group.nt(x, z)
-    # wt holds W^T: row k is W applied to basis vector k.
-    w = np.swapaxes(s.wt, 1, 2)
+    # w holds W: column k is W applied to basis vector k, the congruence
+    # R^H B_k R of basis matrix B_k. wt holds its transpose.
+    lx = np.linalg.cholesky(xm)
+    _, sig, vh = np.linalg.svd(np.linalg.cholesky(zm).conj().transpose(0, 2, 1) @ lx)
+    r = (lx @ vh.conj().transpose(0, 2, 1)) / np.sqrt(sig)[:, None, :]
+    r_h = r.conj().transpose(0, 2, 1)
     for k in range(9):
-        assert _rel(s.w(np.tile(np.eye(9)[k], (5, 1))), w[:, :, k]) < 1e-12
-    h = s.wt @ w
+        want = hvec(r_h @ sdp.hermitian_basis(3)[k] @ r)
+        assert _rel(sdp._matvec(s.w, np.tile(np.eye(9)[k], (5, 1))), want) < 1e-12
+    assert np.array_equal(s.w, np.swapaxes(s.wt, 1, 2))
+    assert s.w.flags.c_contiguous
+    h = s.wt @ s.w
     assert _rel(np.einsum("nij,nj->ni", h, z), x) < 1e-12
-    assert _rel(s.w(z), s.lam) < 1e-12
-    assert _rel(s.w_t(s.lam), x) < 1e-12
+    assert _rel(sdp._matvec(s.w, z), s.lam) < 1e-12
+    assert _rel(sdp._matvec(s.wt, s.lam), x) < 1e-12
     r = rng.normal(size=x.shape)
     assert _rel(group.jordan(s.lam, s.solve(r)), r) < 1e-12
 
@@ -471,15 +479,35 @@ def test_orthant_scaling_identities():
     x = rng.uniform(1e-6, 2.0, size=(9, 1))
     z = rng.uniform(1e-6, 2.0, size=(9, 1))
     s = sdp._OrthantScaling(x, z)
-    h = s.wt @ s.wt
+    assert s.w is s.wt
+    h = s.wt @ s.w
     assert _rel(h[:, :, 0] * z, x) < 1e-12
-    assert _rel(s.w(z), s.lam) < 1e-12
+    assert _rel(sdp._matvec(s.w, z), s.lam) < 1e-12
     assert _rel(x / s.wt[:, :, 0], s.lam) < 1e-12
     r = rng.normal(size=x.shape)
     assert _rel(s.lam * s.solve(r), r) < 1e-12
     delta = rng.normal(size=x.shape)
     want = min(-s.lam[i, 0] / delta[i, 0] for i in range(9) if delta[i, 0] < 0)
     assert _max_step(s, delta) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_null_form_scalings_hold_the_inverse(dim):
+    """Built with ``inverse``, as the null-space form builds it, the scaling
+    of every cone holds W^-1 and W^-T beside W and W^T."""
+    rng = np.random.default_rng(20 + dim)
+    xm = _random_pd(rng, 7, dim)
+    zm = _random_pd(rng, 7, dim)
+    if dim == 2:
+        x, z = _lorentz_primal(xm), _lorentz_dual(zm)
+    else:
+        x, z = hvec(xm), hvec(zm)
+    s = sdp._make_group(dim, list(range(7)), 0).nt(x, z, inverse=True)
+    eye = np.broadcast_to(np.eye(dim * dim), s.w.shape)
+    assert _rel(s.winv @ s.w, eye) < 1e-12
+    assert np.array_equal(s.winv_t, np.swapaxes(s.winv, 1, 2))
+    assert np.array_equal(s.w, np.swapaxes(s.wt, 1, 2))
+    assert _rel(sdp._matvec(s.winv_t, x), s.lam) < 1e-12
 
 
 @pytest.mark.parametrize("seed", range(4))
