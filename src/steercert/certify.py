@@ -199,10 +199,8 @@ def _parent_stack(targets, noises, kind, half: bool, gap_tol, feas_tol) -> list:
     The programs differ only in v's column, so one ProgramBuilder writes the
     rows they share and each target's copy gets its own v column,
     -hvec(T_x - N_x). They form one stack (PreparedSdp over (k, m, n) rows)
-    and several are solved in one batched IPM run, each bit for bit as it
-    would be alone. One program makes one solve_with call, a batch of one
-    with the same bits, which is the entry point the benchmark's per-layer
-    solver span counts.
+    and are solved in one batched IPM run, each bit for bit as it would be
+    alone; solve_batch hands a stack of one to solve_with.
     """
     n = len(noises) - 1
     lams = list(itertools.product((0, 1), repeat=n))
@@ -230,12 +228,9 @@ def _parent_stack(targets, noises, kind, half: bool, gap_tol, feas_tol) -> list:
     # Maximize v, the first hvec coordinate of V, the last block.
     objective = np.zeros(stack.shape[2])
     objective[-4] = 1.0
-    if k == 1:
-        sols = [prepared.solve_with(objective, gap_tol=gap_tol, feas_tol=feas_tol)]
-    else:
-        sols = prepared.solve_batch(
-            np.tile(objective, (k, 1)), gap_tol=gap_tol, feas_tol=feas_tol
-        )
+    sols = prepared.solve_batch(
+        np.tile(objective, (k, 1)), gap_tol=gap_tol, feas_tol=feas_tol
+    )
     return [_report(kind, sol, gap_tol) for sol in sols]
 
 

@@ -26,32 +26,21 @@ _SUBCOMMANDS = {
 
 # The argparse options of each config field a runner reads: input_path is
 # the positional input, any other field the flag --field with dashes for
-# underscores.
+# underscores. Values stay strings for ExperimentConfig to convert.
 _FLAGS = {
     "input_path": dict(metavar="input", help="JSON input file"),
     "n": dict(help="setting count (comma list for vn-table)"),
-    "samples": dict(type=int, help="number of samples to draw"),
-    "seed": dict(type=int, help="master seed"),
-    "restarts": dict(type=int, help="see-saw restarts per probe"),
-    "threads": dict(type=int, help="worker processes"),
-    "gap_tol": dict(type=float),
-    "feas_tol": dict(type=float),
+    "samples": dict(help="number of samples to draw"),
+    "seed": dict(help="master seed"),
+    "restarts": dict(help="see-saw restarts per probe"),
+    "threads": dict(help="worker processes"),
+    "gap_tol": dict(),
+    "feas_tol": dict(),
     "full": dict(
         action="store_true", default=None, help="extend the default table to n = 6, 7"
     ),
     "out": dict(help="output prefix for .jsonl and summaries"),
 }
-
-
-def _parse_n(raw: str | None, experiment: str):
-    if raw is None:
-        return None
-    try:
-        if experiment in ("vn_table", "nc_bound"):
-            return tuple(int(part) for part in raw.split(",") if part.strip())
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"--n must be an integer or a comma list, got {raw!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,9 +73,9 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
     data["experiment"] = experiment
-    # Every flag that names a config field overrides the file's value.
-    overrides = dict(vars(args), n=_parse_n(getattr(args, "n", None), experiment))
-    for key, value in overrides.items():
+    # Every flag that names a config field overrides the file's value, as
+    # the string it was given: ExperimentConfig converts both alike.
+    for key, value in vars(args).items():
         if key in ExperimentConfig.__dataclass_fields__ and value is not None:
             data[key] = value
     return ExperimentConfig.from_json(data)

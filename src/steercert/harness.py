@@ -170,6 +170,8 @@ class ExperimentConfig:
         ns = self.n
         if ns is None:
             ns = default
+        elif isinstance(ns, str):
+            ns = [part for part in ns.split(",") if part.strip()]
         elif not isinstance(ns, (list, tuple)):
             ns = (ns,)
         if not ns:
@@ -178,6 +180,10 @@ class ExperimentConfig:
 
     def _normalize_n(self):
         if self.experiment == "vn_table":
+            # full extends the default table, so next to an n it would drop
+            # silently.
+            if self.full and self.n is not None:
+                raise ConfigError("give n or full, not both")
             ns = self._n_list((2, 3, 4, 5, 6, 7) if self.full else (2, 3, 4, 5))
             for k in ns:
                 if not 2 <= k <= 7:
@@ -475,12 +481,21 @@ def _nc_entry(args) -> dict:
     }
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not offered on every platform
+        return os.cpu_count() or 1
+
+
 def _run_tasks(worker, tasks, threads: int) -> list:
     tasks = list(tasks)
-    if threads <= 1 or len(tasks) <= 1:
+    # The pool starts all its workers at once, so start no idle ones and no
+    # more than the CPUs this process may run on.
+    workers = min(threads, len(tasks), _usable_cpus())
+    if workers <= 1:
         return [worker(t) for t in tasks]
-    # The pool starts all its workers at once, so start no idle ones.
-    with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, tasks))
 
 

@@ -89,8 +89,10 @@ range form, or products with its program's build-time factors in the
 null-space form. Every product with one instance's data is a BLAS or LAPACK
 call of its own, on operands whose memory order does not depend on the
 batch, so an instance's result is bit for bit the same whatever else is in
-its batch and whether its program is shared or one of a stack; solve_with
-is a batch of one.
+its batch and whether its program is shared or one of a stack. solve_with
+runs that IPM on a batch of one, and solve_batch hands a batch of one to
+solve_with, so every single solve, whichever entry point it came in by,
+passes through solve_with.
 
 Everything that depends only on a dimension is built once, on first use, and
 cached read-only: the gather/scatter offsets and scale vectors behind hvec and
@@ -161,25 +163,11 @@ def _vec_plan(dim: int) -> _VecPlan:
 
 @functools.lru_cache(maxsize=None)
 def hermitian_basis(dim: int) -> np.ndarray:
-    """Orthonormal basis of Hermitian dim x dim matrices, shape (dim^2, dim, dim).
-
-    Ordering matches hvec: unit diagonal matrices first, then
-    (E_ij + E_ji)/sqrt(2) and (i E_ij - i E_ji)/sqrt(2) over the upper
-    triangle in row-major order. The array is cached and read-only.
+    """Orthonormal basis of Hermitian dim x dim matrices, shape (dim^2, dim, dim):
+    unhvec of the unit vectors, so the ordering is hvec's. The array is
+    cached and read-only.
     """
-    basis = np.zeros((dim * dim, dim, dim), dtype=np.complex128)
-    for i in range(dim):
-        basis[i, i, i] = 1.0
-    iu, ju = np.triu_indices(dim, k=1)
-    npairs = iu.size
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for k in range(npairs):
-        i, j = iu[k], ju[k]
-        basis[dim + k, i, j] = inv_sqrt2
-        basis[dim + k, j, i] = inv_sqrt2
-        basis[dim + npairs + k, i, j] = 1j * inv_sqrt2
-        basis[dim + npairs + k, j, i] = -1j * inv_sqrt2
-    return _read_only(basis)
+    return _read_only(unhvec(np.eye(dim * dim), dim))
 
 
 def hvec(mats: np.ndarray) -> np.ndarray:
@@ -282,11 +270,6 @@ def _matvec(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return np.matmul(mats, vecs[..., None])[..., 0]
 
 
-def _rowdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Dot products over the last axis, broadcast over the leading ones."""
-    return np.vecdot(u, v)
-
-
 def _steps_from_min_eig(lam_min: np.ndarray) -> np.ndarray:
     """Largest alpha with e + alpha * t in the cone, per instance, given t's
     least eigenvalue (inf when lam_min is above -1e-16 or nan)."""
@@ -329,7 +312,7 @@ class _OrthantScaling:
 
 def _soc_bounds(v: np.ndarray):
     """(v0 - |v1|, v0 + |v1|): the two eigenvalues of Lorentz vectors (n, 4)."""
-    nrm = np.sqrt(_rowdot(v[:, 1:], v[:, 1:]))
+    nrm = np.sqrt(np.vecdot(v[:, 1:], v[:, 1:]))
     return v[:, 0] - nrm, v[:, 0] + nrm
 
 
@@ -358,7 +341,7 @@ class _LorentzScaling:
         det_z = z_lo * z_hi
         x_bar = x / np.sqrt(det_x)[:, None]
         z_bar = z / np.sqrt(det_z)[:, None]
-        gamma = np.sqrt(0.5 + 0.5 * _rowdot(x_bar, z_bar))[:, None]
+        gamma = np.sqrt(0.5 + 0.5 * np.vecdot(x_bar, z_bar))[:, None]
         v = (x_bar + _SOC_SIGN * z_bar) / (2.0 * gamma)
         v[:, 0] += 1.0
         v /= np.sqrt(2.0 * v[:, :1])
@@ -385,7 +368,7 @@ class _LorentzScaling:
         self._det_lam = det_lam
         # lam's Jordan frame c_1,2 = (1, +-u) / 2 with eigenvalues l1 >= l2,
         # for the step length.
-        nrm = np.sqrt(_rowdot(lam[:, 1:], lam[:, 1:]))
+        nrm = np.sqrt(np.vecdot(lam[:, 1:], lam[:, 1:]))
         flat = nrm == 0
         u = lam[:, 1:] / np.where(flat, 1.0, nrm)[:, None]
         if flat.any():
@@ -399,7 +382,7 @@ class _LorentzScaling:
         """g with lam o g = r: the inverse of lam's arrow matrix."""
         lam = self.lam
         lam0 = lam[:, :1]
-        g0 = (lam0[:, 0] * r[:, 0] - _rowdot(lam[:, 1:], r[:, 1:])) / self._det_lam
+        g0 = (lam0[:, 0] * r[:, 0] - np.vecdot(lam[:, 1:], r[:, 1:])) / self._det_lam
         out = np.empty_like(r)
         out[:, 0] = g0
         out[:, 1:] = (r[:, 1:] - g0[:, None] * lam[:, 1:]) / lam0
@@ -413,8 +396,8 @@ class _LorentzScaling:
         coordinates of delta over l1 and l2."""
         d0 = delta[..., 0]
         d1 = delta[..., 1:]
-        along = _rowdot(self._u, d1)
-        perp2 = np.maximum(_rowdot(d1, d1) - along * along, 0.0)
+        along = np.vecdot(self._u, d1)
+        perp2 = np.maximum(np.vecdot(d1, d1) - along * along, 0.0)
         a = (d0 + along) * self._inv_l1
         b = (d0 - along) * self._inv_l2
         return 0.5 * (a + b) - np.sqrt(
@@ -578,7 +561,7 @@ class _LorentzGroup(_Group):
     @staticmethod
     def jordan(u: np.ndarray, v: np.ndarray) -> np.ndarray:
         out = np.empty_like(u)
-        out[:, 0] = _rowdot(u, v)
+        out[:, 0] = np.vecdot(u, v)
         out[:, 1:] = u[:, :1] * v[:, 1:] + v[:, :1] * u[:, 1:]
         return out
 
@@ -873,8 +856,9 @@ class PreparedSdp:
     ) -> SdpSolution:
         """Maximize one objective, given like a row of the constraint
         matrix: the hvec coordinates of each block's coefficient, d_j^2 per
-        block in block order. The result is a batch of one of solve_batch."""
-        (sol,) = self.solve_batch(
+        block in block order. It runs the IPM of solve_batch on a batch of
+        one."""
+        (sol,) = self._solve(
             np.asarray(objective, dtype=np.float64)[None], gap_tol, feas_tol, max_iter
         )
         return sol
@@ -891,8 +875,16 @@ class PreparedSdp:
         program of one, or row i over program i of a stack of k. Solution i
         is bit for bit the one solve_with gives for objective i alone over
         its program alone. An instance whose program's equalities have no
-        solution ends NumericalFailure at once."""
+        solution ends NumericalFailure at once. A batch of one is handed to
+        solve_with, the one entry point that sees every single solve."""
         objectives = np.asarray(objectives, dtype=np.float64)
+        if objectives.ndim == 2 and len(objectives) == 1:
+            return [self.solve_with(objectives[0], gap_tol, feas_tol, max_iter)]
+        return self._solve(objectives, gap_tol, feas_tol, max_iter)
+
+    def _solve(self, objectives, gap_tol, feas_tol, max_iter) -> list:
+        """The IPM behind solve_with and solve_batch, on (k, n_cols)
+        objectives."""
         if objectives.ndim != 2 or objectives.shape[1] != self.n_cols:
             raise ValueError(f"expected objectives of {self.n_cols} hvec coordinates")
         if not np.isfinite(objectives).all():
@@ -928,7 +920,7 @@ class PreparedSdp:
             st.a_pinv = self._a_pinv[programs]
             st.at_pinv = self._at_pinv[programs]
         st.c = self._cone_objectives(objectives[live])
-        st.dinf_scale = 1.0 + np.sqrt(_rowdot(st.c, weight * st.c))
+        st.dinf_scale = 1.0 + np.sqrt(np.vecdot(st.c, weight * st.c))
         st.x = np.tile(self._x_start, (k_live, 1))
         st.z = np.tile(self._z_start, (k_live, 1))
         st.y = np.zeros((k_live, self.m))
@@ -963,14 +955,14 @@ class PreparedSdp:
             x, z, y, c = st.x, st.z, st.y, st.c
             st.rp = rp = b - _matvec(st.a, x)
             st.rd = rd = c - _matvec(np.swapaxes(st.a, 1, 2), y) - z
-            all_int_p = _rowdot(c, x).tolist()
-            all_int_d = _rowdot(y, b).tolist()
-            rp_norm = np.sqrt(_rowdot(rp, rp))
+            all_int_p = np.vecdot(c, x).tolist()
+            all_int_d = np.vecdot(y, b).tolist()
+            rp_norm = np.sqrt(np.vecdot(rp, rp))
             # The Newton refinement stops once |rp - A dx| <= 1e-15 (1 + |rp|).
             st.rp_tol = (1e-15 * (1.0 + rp_norm)) ** 2
             all_pinf = (rp_norm / (1.0 + norm_b)).tolist()
-            all_dinf = (np.sqrt(_rowdot(rd, weight * rd)) / st.dinf_scale).tolist()
-            st.mu = _rowdot(x, z) / k_total
+            all_dinf = (np.sqrt(np.vecdot(rd, weight * rd)) / st.dinf_scale).tolist()
+            st.mu = np.vecdot(x, z) / k_total
             all_mu = st.mu.tolist()
             done = []
             for i, now in enumerate(zip(all_int_p, all_int_d, all_pinf, all_dinf)):
@@ -1050,7 +1042,7 @@ class PreparedSdp:
             # Predictor: aim straight at the boundary.
             dx_a, _, dz_a, dxs_a, dzs_a = self._newton(st, -lam, scal, w_rd, fac)
             ap_aff, ad_aff = np.minimum(1.0, self._max_steps(k, scal, dxs_a, dzs_a))
-            mu_aff = _rowdot(x + ap_aff[:, None] * dx_a, z + ad_aff[:, None] * dz_a) / k_total
+            mu_aff = np.vecdot(x + ap_aff[:, None] * dx_a, z + ad_aff[:, None] * dz_a) / k_total
             sigma_mu = np.array(
                 [
                     min(1.0, max(0.0, (max(m_aff, 0.0) / m) ** 3)) * m
@@ -1216,7 +1208,7 @@ class PreparedSdp:
         going = t_sum = None
         for _ in range(3):
             e1 = rp - _matvec(a, dx)
-            more = _rowdot(e1, e1) > rp_tol
+            more = np.vecdot(e1, e1) > rp_tol
             going = more if going is None else going & more
             n_going = np.count_nonzero(going)
             if n_going == 0:
@@ -1258,11 +1250,9 @@ class PreparedSdp:
         finite and strictly inside every cone, halving that instance's
         alpha as needed; alpha 0 keeps its old row."""
         trial = state + alpha[:, None] * delta
-        if np.isfinite(trial).all() and all(
-            g.interior(g.seg(trial)).all() for g in self.groups
-        ):
-            return alpha, trial
         ok = self._interior(trial)
+        if ok.all():
+            return alpha, trial
         alpha = alpha.copy()
         new = state.copy()
         pending = np.ones(len(state), dtype=bool)

@@ -492,10 +492,6 @@ def seesaw_critical_visibility(
     logs: list = []
     used = 0
 
-    def solve_one(objectives) -> list:
-        (objective,) = objectives
-        return [prepared.solve_with(objective, gap_tol=gap_tol, feas_tol=feas_tol)]
-
     def solve_stack(objectives) -> list:
         return prepared.solve_batch(objectives, gap_tol=gap_tol, feas_tol=feas_tol)
 
@@ -531,7 +527,7 @@ def seesaw_critical_visibility(
             # Refined alone and first: it ends many probes.
             used += 1
             ((val, alice, bob, ok, run_log),) = _alternate(
-                solve_one, scenario, rhot, select, best_pool[None]
+                solve_stack, scenario, rhot, select, best_pool[None]
             )
             if ok:
                 logs.append(tuple(run_log))

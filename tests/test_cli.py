@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from steercert.cli import _SUBCOMMANDS, build_parser, main
+from steercert.cli import _SUBCOMMANDS, _build_config, build_parser, main
 from steercert.harness import EXPERIMENTS
 
 
@@ -97,6 +97,21 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert stored["counts"]["sampled"] == 2
 
 
+@pytest.mark.parametrize("command", ["vn-table", "nc-bound"])
+def test_n_list_reads_alike_from_flag_and_config(tmp_path, command):
+    """A config file's n may be a comma list, as the --n flag is: both are
+    strings that ExperimentConfig converts."""
+    path = tmp_path / "cfg.json"
+    configs = []
+    for value in ("2,3", [2, 3], " 3, 2,"):
+        path.write_text(json.dumps({"n": value}))
+        args = build_parser().parse_args([command, "--config", str(path)])
+        configs.append(_build_config(args))
+    configs.append(_build_config(build_parser().parse_args([command, "--n", "2,3"])))
+    assert configs[0].n == (2, 3)
+    assert configs == [configs[0]] * 4
+
+
 def test_steer_check_command(tmp_path, capsys):
     path = tmp_path / "steer.json"
     path.write_text(
@@ -165,6 +180,7 @@ _BAD_DIMS = [
         ("conj1 --samples 0 --config", {"n": [3]}),
         ("nc-bound --n ,", None),
         ("vn-table --config", {"n": []}),
+        ("vn-table --n 3 --full", None),
         ("jm-check --gap-tol inf", {"bloch": _ZX}),
         ("conj1 --samples 0 --config", {"feas_tol": math.inf}),
         ("vn-table --bisect-tol inf", None),
@@ -218,6 +234,7 @@ _BAD_DIMS = [
         "config-conj1-n-list",
         "nc-bound-n-empty",
         "config-vn-table-n-empty",
+        "vn-table-n-and-full",
         "jm-gap-tol-inf",
         "config-feas-tol-inf",
         "vn-table-bisect-tol-inf",

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -386,7 +387,8 @@ def test_thread_count_does_not_change_records():
 
 def test_worker_count_is_capped_at_the_task_count(monkeypatch):
     """A process pool starts all its workers at once, so a run asks for no
-    more than it has tasks. The fake pool starts no process."""
+    more than it has tasks or usable CPUs, and runs in process when that
+    leaves one worker. The fake pool starts no process."""
     started = []
 
     class FakePool:
@@ -403,8 +405,15 @@ def test_worker_count_is_capped_at_the_task_count(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
-    assert harness._run_tasks(abs, [-1, -2, -3], threads=10_000) == [1, 2, 3]
-    assert started == [3]
+    for cpus in (64, 2, 1):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        assert harness._run_tasks(abs, [-1, -2, -3], threads=10_000) == [1, 2, 3]
+    assert started == [3, 2]
+    # Without an affinity mask the CPU count caps the pool.
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert harness._run_tasks(abs, [-1, -2, -3], threads=1_000) == [1, 2, 3]
+    assert started == [3, 2, 2]
 
 
 def test_vn_table_entry_and_outputs(tmp_path):

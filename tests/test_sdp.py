@@ -999,6 +999,41 @@ def test_random_programs_take_both_forms():
     assert forms == {False, True}
 
 
+def test_every_single_solve_passes_through_solve_with(monkeypatch):
+    """solve_batch hands a batch of one to solve_with, so a wrapper on
+    solve_with sees every single solve, whichever module asked for it, and
+    none of a batch of two."""
+    from steercert import certify, witness
+    from steercert.quantum import assemblage_from, noisy_singlet
+
+    calls = []
+    solve_with = PreparedSdp.solve_with
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return solve_with(self, *args, **kwargs)
+
+    monkeypatch.setattr(PreparedSdp, "solve_with", counting)
+
+    def count(run) -> int:
+        calls.clear()
+        run()
+        return len(calls)
+
+    prep, _ = _batch_program("alice2")
+    objectives = np.random.default_rng(5).normal(size=(2, prep.n_cols))
+    assert count(lambda: prep.solve_batch(objectives[:1])) == 1
+    assert count(lambda: prep.solve_batch(objectives)) == 0
+    sets = _unbiased_sets(3, 2, 90)
+    assert count(lambda: certify.jm_critical_visibility(sets[0])) == 1
+    assert count(lambda: certify.jm_critical_visibility(sets)) == 0
+    assemblage = assemblage_from(noisy_singlet(0.8), sets[0])
+    assert count(lambda: certify.lhs_critical_visibility(assemblage)) == 1
+    assert count(lambda: witness.optimize_ensemble(witness.Scenario(3), sets[0])) == 1
+    assert count(lambda: witness.optimize_ensemble(witness.Scenario(3), sets)) == 0
+    assert count(lambda: witness.seesaw_critical_visibility(2, restarts=2)) >= 1
+
+
 def test_batch_input_checks():
     prep, _ = _batch_program("alice2")
     assert prep.solve_batch(np.zeros((0, prep.n_cols))) == []
