@@ -53,15 +53,17 @@ Each Newton step takes one of two forms, chosen from the shape of the
 reduced program alone: m independent rows over N cone coordinates leave
 p = N - m of them free.
 
-- Range form, p >= m: the Schur complement A H A^T is factored as R^T R
+- Range form, p > m: the Schur complement A H A^T is factored as R^T R
   through a QR factorization of the N x m scaled rows W A^T, and triangular
   solves with R, with up to two refinement passes, give the step.
-- Null-space form, p < m: one complete QR factorization of A^T at build
+- Null-space form, p <= m: one complete QR factorization of A^T at build
   time gives an orthonormal basis F of null(A) and the pseudo-inverses of A
   and A^T. Each step factors the N x p matrix W^-T F instead, and A dx = rp
   holds through the build-time factors, with no triangular solve and no
   refinement pass (Lofberg, Dualize it, Optim. Methods Softw. 24, 2009; the
-  CVXOPT cone solvers take the same choice).
+  CVXOPT cone solvers take the same choice). The particular step
+  W^-T A^+ rp is formed once per iteration and serves its predictor,
+  corrector and centering solves.
 
 Either way the scaled rows are factored, not an assembled product, so the
 conditioning is not squared near a degenerate optimum. In every cone an NT
@@ -674,8 +676,19 @@ def _independent_rows(a_mat: np.ndarray, b: np.ndarray):
 
 def _null_space_form(m: int, n_cols: int) -> bool:
     """Whether a program of m independent rows over n_cols coordinates
-    takes the null-space Newton form: fewer free coordinates than rows."""
-    return n_cols - m < m
+    takes the null-space Newton form: no more free coordinates than rows.
+
+    At p = m both forms factor an N x m matrix per step, and the null-space
+    form skips the range form's per-instance triangular solves and
+    refinement passes. The rule stops there because the null-space steps
+    converge badly on wider programs: with p > m forced into the null form,
+    conj1's full JM stacks (17, 36) took 558-900 iterations against
+    104-212 in the range form and its (21, 68) stacks 619-2,715 against
+    178-380, with 3 to 16 instances per group ending short of Optimal; the
+    certify half programs (20, 132) and (23, 260) took 543 and 633
+    iterations against 67 and 79, with 3 instances short of Optimal in
+    each."""
+    return n_cols - m <= m
 
 
 def _null_space(a: np.ndarray):
@@ -1037,10 +1050,17 @@ class PreparedSdp:
 
             x, z, y, mu = st.x, st.z, st.y, st.mu
             w_rd = self._scaled(k, scal, "w", st.rd)
+            # The null-space form's particular step W^-T A^+ rp serves every
+            # Newton solve of the iteration.
+            dxs_p = None
+            if self.null_form:
+                dxs_p = self._scaled(k, scal, "winv_t", _matvec(st.a_pinv, st.rp))
             lam = self._per_group(k, lambda gi, g: scal[gi].lam)
 
-            # Predictor: aim straight at the boundary.
-            dx_a, _, dz_a, dxs_a, dzs_a = self._newton(st, -lam, scal, w_rd, fac)
+            # Predictor: aim straight at the boundary; its dy is never used.
+            dx_a, _, dz_a, dxs_a, dzs_a = self._newton(
+                st, -lam, scal, w_rd, dxs_p, fac, want_dy=False
+            )
             ap_aff, ad_aff = np.minimum(1.0, self._max_steps(k, scal, dxs_a, dzs_a))
             mu_aff = np.vecdot(x + ap_aff[:, None] * dx_a, z + ad_aff[:, None] * dz_a) / k_total
             sigma_mu = np.array(
@@ -1064,7 +1084,7 @@ class PreparedSdp:
                     return s.solve(r)
 
                 gt = self._per_group(k, rhs)
-                dx, dy, dz, dxs, dzs = self._newton(st, gt, scal, w_rd, fac)
+                dx, dy, dz, dxs, dzs = self._newton(st, gt, scal, w_rd, dxs_p, fac)
                 steps = self._max_steps(k, scal, dxs, dzs)
                 ap, ad = np.minimum(1.0, _STEP_FRACTION * steps)
                 return dx, dy, dz, ap, ad
@@ -1137,7 +1157,7 @@ class PreparedSdp:
         group's row_blocks, and the list of the instances whose R is
         singular (when not empty, no factors). The range form factors
         (A W^T)^T = W A^T, N x m; the null-space form, taken when
-        p = N - m < m, factors W^-T F, N x p."""
+        p = N - m <= m, factors W^-T F, N x p."""
         r_rows = self.n_cols - self.m if self.null_form else self.m
         if r_rows == 0:
             return (np.zeros((k, self.n_cols, 0)), np.zeros((k, 0, 0))), []
@@ -1160,7 +1180,7 @@ class PreparedSdp:
         mats = [getattr(s, op) for s in scal]
         return self._per_group(k, lambda gi, g: _matvec(mats[gi], g.seg(vecs)))
 
-    def _newton(self, st: _Active, gt, scal, w_rd, fac):
+    def _newton(self, st: _Active, gt, scal, w_rd, dxs_p, fac, want_dy=True):
         """Solve the scaled Newton system
 
             A dx = rp,   A^T dy + dz = rd,   W^-T dx + W dz = gt
@@ -1169,9 +1189,10 @@ class PreparedSdp:
         instance's rows and residuals in ``st``, given the complementarity
         right-hand side gt in the scaled frame and W rd, and return the
         scaled directions W^-T dx and W dz too. fac holds the factors of
-        _factor_scaled_rows, whose form the shape of the program picks.
+        _factor_scaled_rows, whose form the shape of the program picks, and
+        dxs_p the null-space form's W^-T A^+ rp (None in the range form).
 
-        Range form (p >= m), with Q R = W A^T: the scaled primal direction
+        Range form (p > m), with Q R = W A^T: the scaled primal direction
         is gt - W rd + Q R dy. Starting from dy = 0, each pass solves
         R^T t = rp - A dx and adds Q t to the scaled direction, so A dx = rp
         holds to the accuracy of Q rather than of the Schur complement; dy
@@ -1180,23 +1201,22 @@ class PreparedSdp:
         residual is at most rp_tol. The dual residual equation holds by
         construction.
 
-        Null-space form (p < m), with Q R = W^-T F: dx is A^+ rp plus a
+        Null-space form (p <= m), with Q R = W^-T F: dx is A^+ rp plus a
         step F u along the null space of A, so A dx = rp holds through the
         build-time factorization, without a triangular solve or a
         refinement pass. The dual equations ask F^T dz = F^T rd, which makes
-        the scaled primal direction W^-T A^+ rp + Q Q^T h, with
-        h = gt - W^-T A^+ rp - W rd; then dz = W^-1 (gt - W^-T dx) and
-        dy = (A^T)^+ (rd - dz).
+        the scaled primal direction dxs_p + Q Q^T h, with
+        h = gt - dxs_p - W rd; then dz = W^-1 (gt - W^-T dx) and
+        dy = (A^T)^+ (rd - dz), or None when want_dy is false.
         """
         q, r = fac
         k = len(st.rp)
         if self.null_form:
-            dxs_p = self._scaled(k, scal, "winv_t", _matvec(st.a_pinv, st.rp))
             h = gt - dxs_p - w_rd
             dxs = dxs_p + _matvec(q, _matvec(np.swapaxes(q, 1, 2), h))
             dzs = gt - dxs
             dz = self._scaled(k, scal, "winv", dzs)
-            dy = _matvec(st.at_pinv, st.rd - dz)
+            dy = _matvec(st.at_pinv, st.rd - dz) if want_dy else None
             return self._scaled(k, scal, "wt", dxs), dy, dz, dxs, dzs
         a, rp, rd, rp_tol = st.a, st.rp, st.rd, st.rp_tol
         # One LAPACK triangular solve per instance: a batch of one costs what

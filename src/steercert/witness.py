@@ -278,7 +278,10 @@ def optimize_ensemble(
 
 def threshold_visibility(witness_value: float, baseline: float, n: int) -> float:
     """Visibility at which linear interpolation toward the baseline meets
-    the classical bound."""
+    the classical bound. Both values must be finite: a NaN would slip past
+    the comparisons below."""
+    if not (np.isfinite(witness_value) and np.isfinite(baseline)):
+        raise ValueError("witness value and baseline must be finite")
     bound = noncontextual_bound(n)
     if witness_value <= baseline + 1e-12:
         raise ValueError("witness value does not exceed the baseline")

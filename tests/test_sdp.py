@@ -861,11 +861,12 @@ def _batch_program(name):
 
 
 # The batch cases whose programs take the null-space Newton form.
-_NULL_FORM_CASES = {"alice3", "ensemble3", "ensemble4", "mixed", "jm_half2"}
+_NULL_FORM_CASES = {"alice2", "alice3", "ensemble3", "ensemble4", "mixed", "jm_half2"}
 
 
 @pytest.mark.parametrize(
-    "name", ["alice2", "alice3", "ensemble3", "ensemble4", "mixed", "jm_half2"]
+    "name",
+    ["alice2", "alice3", "ensemble2", "ensemble3", "ensemble4", "mixed", "jm_half2"],
 )
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_batch_instances_match_their_batch_of_one(name):
@@ -927,7 +928,7 @@ def _solves_in_form(run, force_range: bool) -> list:
 
 
 def _production_null_form_run(family: str, n: int):
-    """Solves of one production family whose programs have p < m."""
+    """Solves of one production family whose programs have p <= m."""
     from steercert import certify, witness
     from steercert.quantum import (
         BlochPovmParams,
@@ -969,23 +970,30 @@ def _random_bloch_set(rng, n):
 @pytest.mark.parametrize(
     "family, n",
     [("ensemble", n) for n in (3, 4, 5)]
-    + [("alice", n) for n in (3, 4, 5)]
+    + [("alice", n) for n in (2, 3, 4, 5)]
     + [(kind, n) for kind in ("jm_half", "lhs_half") for n in (1, 2, 3)]
     + [("jm_full", n) for n in (1, 2)],
 )
 def test_null_form_agrees_with_the_range_form(family, n):
-    """Every production program with fewer free coordinates than rows takes
-    the null-space form, and solves as the range form does: the same
+    """Every production program with no more free coordinates than rows
+    takes the null-space form, and solves as the range form does: the same
     status, primal and dual values within the gap tolerance."""
     run = _production_null_form_run(family, n)
     null = _solves_in_form(run, force_range=False)
     ranged = _solves_in_form(run, force_range=True)
     assert null and len(null) == len(ranged)
     for (form, p, m, sol), (other_form, _, _, other) in zip(null, ranged):
-        assert form and p < m and not other_form
+        assert form and p <= m and not other_form
         assert sol.status == other.status == STATUS_OPTIMAL
         assert abs(sol.primal_value - other.primal_value) <= DEFAULT_GAP_TOL
         assert abs(sol.dual_value - other.dual_value) <= DEFAULT_GAP_TOL
+
+
+def test_null_form_rule_includes_p_equal_m():
+    """The null-space form is taken up to p = m free coordinates (Alice's
+    (8, 16) program at n = 2) and no further."""
+    assert sdp._null_space_form(8, 16)
+    assert not sdp._null_space_form(8, 17)
 
 
 def test_random_programs_take_both_forms():

@@ -251,6 +251,17 @@ def test_threshold_visibility():
         threshold_visibility(0.7, 0.5, 2)
 
 
+@pytest.mark.parametrize(
+    "witness_value, baseline",
+    [(np.nan, 0.5), (CHSH_QUANTUM, np.nan), (np.inf, 0.5), (CHSH_QUANTUM, -np.inf)],
+)
+def test_threshold_visibility_rejects_non_finite_values(witness_value, baseline):
+    """A NaN passes both guards (comparisons with NaN are false) and
+    min(1.0, nan) is 1.0; +inf would give visibility 0."""
+    with pytest.raises(ValueError, match="finite"):
+        threshold_visibility(witness_value, baseline, 2)
+
+
 def test_statistics_from_strategy_is_normalized():
     s = Scenario(2)
     alice = MeasurementSet([sharp_povm((0, 0, 1)), sharp_povm((0, 1, 0))])
@@ -362,10 +373,10 @@ def test_seesaw_probe_without_violation_keeps_every_draw():
 
 # v_threshold per (n, seed); every run uses 22 restarts.
 _PINNED_THRESHOLDS = {
-    (2, 0): 0.7071067818390465,
-    (2, 1): 0.7071067818390471,
-    (2, 2): 0.7071067818390465,
-    (2, 3): 0.7071067818390465,
+    (2, 0): 0.7071067818390472,
+    (2, 1): 0.707106781839047,
+    (2, 2): 0.707106781839047,
+    (2, 3): 0.707106781839047,
     (3, 0): 0.5773502692142455,
     (3, 1): 0.5773502692142453,
     (3, 2): 0.5773502692142453,
